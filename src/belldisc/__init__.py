@@ -56,6 +56,7 @@ from .sampler import (
     exact_distribution,
     final_density,
     sample,
+    sample_settings,
     with_basis_change,
 )
 from .tomography import (

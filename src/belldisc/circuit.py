@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,11 +27,13 @@ from .errors import (
 
 GATE_KINDS = ("H", "X", "S", "SDG", "CNOT")
 
-_ONE_QUBIT = {
+# CNOT's rows and columns are ordered (control, target), qubit order.
+GATE_MATRICES = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "S": np.array([[1, 0], [0, 1j]], dtype=complex),
     "SDG": np.array([[1, 0], [0, -1j]], dtype=complex),
+    "CNOT": np.eye(4, dtype=complex)[[0, 1, 3, 2]],
 }
 
 
@@ -135,26 +136,23 @@ class Circuit:
 
 # -- simulation --
 
-@lru_cache(maxsize=4096)
-def _gate_unitary(kind: str, target: int, control: int | None, n: int) -> np.ndarray:
-    if kind != "CNOT":
-        factors = [_ONE_QUBIT[kind] if q == target else qmath.PAULI["I"] for q in range(n)]
-        u = qmath.tensor(*factors)
-    else:
-        dim = 2 ** n
-        u = np.zeros((dim, dim), dtype=complex)
-        cbit = n - 1 - control
-        tbit = n - 1 - target
-        for b in range(dim):
-            dst = b ^ (1 << tbit) if (b >> cbit) & 1 else b
-            u[dst, b] = 1.0
-    u.setflags(write=False)
-    return u
+def apply_matrix(t: np.ndarray, u: np.ndarray, axes) -> np.ndarray:
+    """The simulation kernel: multiply ``u`` into the given axes of a (2,)*k tensor.
+
+    A state is (2,)*n and an operator (2,)*2n, rows first; ``u`` acts on the
+    2^len(axes) index those axes form, the first axis most significant.
+    """
+    order = list(axes)
+    order += [a for a in range(t.ndim) if a not in order]
+    out = (u @ t.transpose(order).reshape(len(u), -1)).reshape(t.shape)
+    return out.transpose(sorted(range(t.ndim), key=order.__getitem__))
 
 
 def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
-    """Full 2^n x 2^n unitary of a single gate (read-only, cached)."""
-    return _gate_unitary(gate.kind, gate.target, gate.control, n_qubits)
+    """Full 2^n x 2^n unitary of a single gate (read-only)."""
+    u = unitary_of(Circuit(n_qubits, (gate,)))
+    u.setflags(write=False)
+    return u
 
 
 def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
@@ -163,43 +161,40 @@ def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     if initial is None:
         state = qmath.ket("0" * circuit.n_qubits)
     else:
-        state = np.asarray(initial, dtype=complex).reshape(-1)
+        state = np.array(initial, dtype=complex).reshape(-1)
         if state.shape[0] != dim:
             raise DimensionMismatch(f"initial state has dim {state.shape[0]}, circuit needs {dim}")
-        state = state.copy()
+    state = state.reshape((2,) * circuit.n_qubits)
     for g in circuit.gates:
-        state = gate_unitary(g, circuit.n_qubits) @ state
-    return state
+        state = apply_matrix(state, GATE_MATRICES[g.kind], g.qubits)
+    return state.reshape(-1)
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
     """Full unitary of a measurement-free circuit."""
     if circuit.measured:
         raise HasMeasurements("circuit has measurement markers")
-    u = np.eye(2 ** circuit.n_qubits, dtype=complex)
+    n = circuit.n_qubits
+    u = np.eye(2 ** n, dtype=complex).reshape((2,) * (2 * n))
     for g in circuit.gates:
-        u = gate_unitary(g, circuit.n_qubits) @ u
-    return u
+        u = apply_matrix(u, GATE_MATRICES[g.kind], g.qubits)
+    return u.reshape(2 ** n, 2 ** n)
 
 
 def equivalent_up_to_phase(u1: np.ndarray, u2: np.ndarray, atol: float = qmath.ALGEBRAIC_TOL) -> bool:
     """Whether two operators agree up to a global phase.
 
-    The phase is fixed by rotating each operator's largest-modulus entry to
-    the positive real axis.
+    The phase is arg tr(A^+ B), a sum over all entries that round-off cannot
+    flip the way it can flip the pick of one largest entry among equals.
     """
     a = np.asarray(u1, dtype=complex)
     b = np.asarray(u2, dtype=complex)
     if a.shape != b.shape:
         return False
-
-    def fix(m: np.ndarray) -> np.ndarray:
-        z = m.flat[int(np.argmax(np.abs(m)))]
-        if abs(z) == 0.0:
-            return m
-        return m * (z.conjugate() / abs(z))
-
-    return bool(np.abs(fix(a) - fix(b)).max() <= atol)
+    z = np.vdot(a, b)
+    if abs(z) > 0.0:
+        a = a * (z / abs(z))
+    return bool(np.abs(a - b).max() <= atol)
 
 
 # -- Bell pairs and the experiment's circuit blocks --
@@ -339,7 +334,7 @@ def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
         elif mnemonic == "CNOT":
             if len(args) != 2:
                 raise ParseError(f"line {lineno}: CNOT takes control and target")
-        elif mnemonic in _ONE_QUBIT:
+        elif mnemonic in GATE_KINDS:
             if len(args) != 1:
                 raise ParseError(f"line {lineno}: {mnemonic} takes one qubit")
         else:

@@ -32,6 +32,9 @@ PAULI: dict[str, np.ndarray] = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
+# PAULI_BASIS[l] is the Pauli matrix of letter l in the label order I, X, Y, Z.
+PAULI_BASIS = np.stack([PAULI[ch] for ch in "IXYZ"])
+
 ALGEBRAIC_TOL = 1e-9
 PHYSICALITY_TOL = 1e-6
 
@@ -51,6 +54,20 @@ def pauli_operator(label: str) -> np.ndarray:
     if not label or any(ch not in PAULI for ch in label):
         raise ValueError(f"not a Pauli label: {label!r}")
     return tensor(*(PAULI[ch] for ch in label))
+
+
+def contract_qubits(t: np.ndarray, op: np.ndarray, n: int, k_in: int) -> np.ndarray:
+    """Contract ``op`` (output axes, then ``k_in`` input axes) into every qubit of ``t``.
+
+    ``t`` has ``k_in`` groups of ``n`` axes, one per qubit (rho as (2,)*2n has
+    rows and columns); the result has one such group per output axis.
+    """
+    k_out = op.ndim - k_in
+    op_in = list(range(k_out, op.ndim))
+    for q in range(n):
+        left = n - q  # axes of each input group not yet contracted
+        t = np.tensordot(t, op, axes=([g * left for g in range(k_in)], op_in))
+    return t.transpose([q * k_out + g for g in range(k_out) for q in range(n)])
 
 
 def ket(bits: str) -> np.ndarray:
@@ -150,7 +167,7 @@ def deviation(expected: np.ndarray, actual: np.ndarray) -> DeviationReport:
 
 
 def make_physical(rho_raw: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Project a raw reconstruction onto the physical states.
+    """Map a raw reconstruction to a physical state by clipping its spectrum.
 
     Symmetrizes, clips negative eigenvalues to zero and renormalizes the
     trace to one.  Returns ``(rho, clipped)`` where ``clipped`` reports

@@ -10,24 +10,25 @@ strength ``p`` is the full-replacement probability,
 equivalent to each of the 4^k - 1 non-identity Pauli errors occurring with
 probability p / 4^k, so p = 1 leaves the touched qubits maximally mixed.
 
-Sampling is deterministic: the generator is the counter-based Philox keyed by
-``(seed, stream)`` and outcomes are drawn by vectorized inverse-CDF lookup,
-so a given seed reproduces the histogram bit for bit.  ``exact_distribution``
-evolves the density matrix and applies the readout channel analytically; it
-is the infinite-shot oracle for ``sample``.
+rho is a (2,)*2n tensor; each gate and its channel form one 4^k x 4^k
+matrix applied to the row and column axes of the k qubits the gate touches
+(:func:`belldisc.circuit.apply_matrix`).  Sampling is deterministic: Philox
+keyed by ``(seed, stream)`` and inverse-CDF lookup reproduce a histogram bit
+for bit.  ``sample_settings`` draws all Pauli settings of a tomography from
+one evolution, count for count as ``sample`` per setting.
+``exact_distribution`` applies the readout channel analytically; it is the
+infinite-shot oracle for ``sample``.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
 from . import qmath
-from .circuit import Circuit, gate_unitary
+from .circuit import GATE_MATRICES, Circuit, Gate, apply_matrix
 from .errors import (
     DimensionMismatch,
     IdentityInSetting,
@@ -111,66 +112,88 @@ class CountsHistogram:
         return cls.from_json_dict(data)
 
 
-@lru_cache(maxsize=256)
-def _twirl_operators(n: int, qubits: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    # Full Pauli group on the touched qubits; averaging over it replaces
-    # their state with I/2^k.
-    ops = []
-    for combo in itertools.product("IXYZ", repeat=len(qubits)):
-        label = ["I"] * n
-        for q, ch in zip(qubits, combo):
-            label[q] = ch
-        ops.append(qmath.pauli_operator("".join(label)))
-    return tuple(ops)
+def _check_shots(shots) -> int:
+    if isinstance(shots, (bool, np.bool_)) or not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise ZeroShots(f"shots must be a positive integer, got {shots!r}")
+    return int(shots)
 
 
-def _depolarize(rho: np.ndarray, qubits: tuple[int, ...], n: int, p: float) -> np.ndarray:
-    if p == 0.0:
-        return rho
-    ops = _twirl_operators(n, tuple(sorted(qubits)))
-    mixed = sum(op @ rho @ op for op in ops) / len(ops)
-    return (1.0 - p) * rho + p * mixed
+# On a gate's row axes, then its column axes, of rho: U rho U^+ is U (x) U*,
+# and the full replacement Tr_S(rho) (x) I/2^k is |I>><<I| / 2^k, with |I>>
+# the identity flattened the same way.
+_CONJUGATION = {kind: np.kron(u, u.conj()) for kind, u in GATE_MATRICES.items()}
+_REPLACEMENT = {
+    kind: np.outer(np.eye(len(u)).ravel(), np.eye(len(u)).ravel()) / len(u)
+    for kind, u in GATE_MATRICES.items()
+}
+
+
+def _channels(noise: NoiseModel) -> dict[str, np.ndarray]:
+    """Each gate kind followed by its depolarizing channel, as one 4^k x 4^k matrix.
+
+    Full replacement after a gate forgets the gate, so the pair is
+    (1 - p) U (x) U* + p |I>><<I| / 2^k.
+    """
+    out = {}
+    for kind in GATE_MATRICES:
+        p = noise.per_cnot_depolarizing if kind == "CNOT" else noise.per_gate_depolarizing
+        out[kind] = (1.0 - p) * _CONJUGATION[kind] + p * _REPLACEMENT[kind]
+    return out
 
 
 def final_density(circuit: Circuit, noise: NoiseModel = IDEAL) -> np.ndarray:
     """Density matrix after the circuit's gates and their noise channels."""
     n = circuit.n_qubits
-    rho = qmath.projector(qmath.ket("0" * n))
+    channels = _channels(noise)
+    rho = qmath.projector(qmath.ket("0" * n)).reshape((2,) * (2 * n))
     for g in circuit.gates:
-        u = gate_unitary(g, n)
-        rho = u @ rho @ u.conj().T
-        p = noise.per_cnot_depolarizing if g.kind == "CNOT" else noise.per_gate_depolarizing
-        if p > 0.0:
-            rho = _depolarize(rho, g.qubits, n, p)
-    return rho
+        rho = apply_matrix(rho, channels[g.kind], g.qubits + tuple(n + q for q in g.qubits))
+    return rho.reshape(2 ** n, 2 ** n)
 
 
-def _measured_probs(rho: np.ndarray, measured: tuple[int, ...], n: int) -> np.ndarray:
-    probs = np.real(np.diag(rho)).reshape((2,) * n)
-    drop = tuple(q for q in range(n) if q not in measured)
-    if drop:
-        probs = probs.sum(axis=drop)
-    probs = np.clip(probs.reshape(-1), 0.0, None)
-    return probs / probs.sum()
+def _normalized(probs: np.ndarray) -> np.ndarray:
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def _flip_channel(probs: np.ndarray, m: int, r: float) -> np.ndarray:
-    t = probs.reshape((2,) * m)
-    for axis in range(m):
-        t = (1.0 - r) * t + r * np.flip(t, axis=axis)
-    return t.reshape(-1)
+def _measured_probs(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
+    """Pre-readout probabilities of the measured bits."""
+    n = circuit.n_qubits
+    probs = np.real(np.diag(final_density(circuit, noise))).reshape((2,) * n)
+    probs = probs.sum(axis=tuple(q for q in range(n) if q not in circuit.measured))
+    return _normalized(probs.reshape(-1))
 
 
 def exact_distribution(circuit: Circuit, noise: NoiseModel = IDEAL) -> dict[str, float]:
     """Infinite-shot outcome probabilities over the measured bits."""
     if not circuit.measured:
         raise NoMeasurements("circuit has no measured qubits")
-    measured = tuple(sorted(circuit.measured))
-    probs = _measured_probs(final_density(circuit, noise), measured, circuit.n_qubits)
-    if noise.readout_flip > 0.0:
-        probs = _flip_channel(probs, len(measured), noise.readout_flip)
-    m = len(measured)
-    return {format(i, f"0{m}b"): float(p) for i, p in enumerate(probs)}
+    m = len(circuit.measured)
+    t = _measured_probs(circuit, noise).reshape((2,) * m)
+    r = noise.readout_flip
+    if r > 0.0:
+        for axis in range(m):
+            t = (1.0 - r) * t + r * np.flip(t, axis=axis)
+    return {format(i, f"0{m}b"): float(p) for i, p in enumerate(t.reshape(-1))}
+
+
+def _draw(probs: np.ndarray, shots: int, readout_flip: float, seed: int, stream: int) -> np.ndarray:
+    """Counts of ``shots`` draws from ``probs``: one uniform per shot, then one per shot and bit.
+
+    An outcome counts the CDF entries at or below its uniform, as
+    ``searchsorted(side="right")`` would; no uniform reaches the last entry, 1.
+    """
+    m = probs.size.bit_length() - 1
+    rng = np.random.Generator(np.random.Philox(key=[seed & _MASK64, stream & _MASK64]))
+    u = rng.random(shots)
+    # the narrowest integer type that holds every outcome keeps the loop cheap
+    outcomes = np.zeros(shots, dtype=np.min_scalar_type(probs.size - 1))
+    for edge in np.cumsum(probs)[:-1]:
+        outcomes += u >= edge
+    if readout_flip > 0.0:
+        flips = rng.random((shots, m)) < readout_flip
+        outcomes ^= flips @ (1 << np.arange(m - 1, -1, -1)).astype(outcomes.dtype)
+    return np.bincount(outcomes, minlength=probs.size)
 
 
 def sample(
@@ -183,25 +206,38 @@ def sample(
     """Draw ``shots`` outcomes; readout flips are applied per sampled string."""
     if not circuit.measured:
         raise NoMeasurements("circuit has no measured qubits")
-    if not isinstance(shots, int) or shots < 1:
-        raise ZeroShots(f"shots must be a positive integer, got {shots!r}")
-    measured = tuple(sorted(circuit.measured))
-    m = len(measured)
-    probs = _measured_probs(final_density(circuit, noise), measured, circuit.n_qubits)
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
+    shots = _check_shots(shots)
+    counts = _draw(_measured_probs(circuit, noise), shots, noise.readout_flip, seed, stream)
+    m = len(circuit.measured)
+    hist = {format(i, f"0{m}b"): int(c) for i, c in enumerate(counts) if c}
+    return CountsHistogram(m, shots, hist)
 
-    rng = np.random.Generator(np.random.Philox(key=[seed & _MASK64, stream & _MASK64]))
-    outcomes = np.searchsorted(cdf, rng.random(shots), side="right").astype(np.int64)
-    if noise.readout_flip > 0.0:
-        flips = rng.random((shots, m)) < noise.readout_flip
-        weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
-        outcomes ^= flips.astype(np.int64) @ weights
-    counts = np.bincount(outcomes, minlength=2 ** m)
-    hist = {
-        format(i, f"0{m}b"): int(c) for i, c in enumerate(counts) if c > 0
-    }
-    return CountsHistogram(n_bits=m, shots=shots, counts=hist)
+
+# Pre-measurement rotations of each basis, applied in this order.
+_BASIS_CHANGE = {"X": ("H",), "Y": ("SDG", "H"), "Z": ()}
+
+
+def sample_settings(
+    circuit: Circuit, shots: int, noise: NoiseModel = IDEAL, seed: int = 0
+) -> np.ndarray:
+    """Counts (3^n, 2^n) of all Pauli settings in ``tomography.plan`` order, from one evolution.
+
+    Row i equals ``sample(with_basis_change(circuit, setting_i), ..., stream=i)``:
+    the noisy rotation of each qubit acts on it alone, so each qubit of rho is
+    contracted with M[s, b, i, j] = <b| E_s(|i><j|) |b>.
+    """
+    shots = _check_shots(shots)
+    n = circuit.n_qubits
+    channels = _channels(noise)
+    m = []
+    for gates in _BASIS_CHANGE.values():
+        rotation = np.eye(4)
+        for kind in gates:
+            rotation = channels[kind] @ rotation
+        m.append(np.einsum("bbij->bij", rotation.reshape(2, 2, 2, 2)))
+    rho = final_density(circuit, noise).reshape((2,) * (2 * n))
+    probs = _normalized(qmath.contract_qubits(rho, np.stack(m), n, 2).real.reshape(3 ** n, 2 ** n))
+    return np.stack([_draw(row, shots, noise.readout_flip, seed, i) for i, row in enumerate(probs)])
 
 
 def with_basis_change(circuit: Circuit, setting: str) -> Circuit:
@@ -220,8 +256,6 @@ def with_basis_change(circuit: Circuit, setting: str) -> Circuit:
         raise ValueError(f"setting {setting!r} has letters outside X, Y, Z")
     out = circuit
     for q, ch in enumerate(setting):
-        if ch == "X":
-            out = out.h(q)
-        elif ch == "Y":
-            out = out.sdg(q).h(q)
+        for kind in _BASIS_CHANGE[ch]:
+            out = out.append(Gate(kind, q))
     return out.measure(*range(circuit.n_qubits))

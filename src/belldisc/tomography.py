@@ -7,10 +7,15 @@ The density matrix of an n-qubit state decomposes as
 with L running over all 4^n Pauli labels.  Every coefficient is estimated
 from one of the 3^n measurement settings over {X, Y, Z}: identity slots are
 filled with Z (any basis works; Z is the canonical choice) and the sign of
-each outcome is (-1)^(number of 1 bits at the non-identity positions).
-``c_{II...I}`` is pinned to 1 by normalization.  Reconstruction is plain
-linear inversion; :func:`belldisc.qmath.make_physical` supplies the projected
+each outcome is (-1)^(number of 1 bits at the non-identity positions), so
+``c_{II...I}`` is 1.  Reconstruction is plain linear inversion;
+:func:`belldisc.qmath.make_physical` supplies the clipped and renormalized
 variant reported alongside the raw matrix.
+
+:func:`run_tomography` takes all counts from one simulation as a (3^n, 2^n)
+array.  The coefficients contract it with a (4, 3, 2) sign tensor per qubit;
+inversion and :func:`exact_expectations` contract each qubit with the (4, 2, 2)
+Pauli basis.  The dict-keyed functions adapt to the same array code.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ from .errors import (
     MissingSetting,
     TooManyQubits,
 )
-from .sampler import IDEAL, CountsHistogram, NoiseModel, sample, with_basis_change
+from .sampler import IDEAL, CountsHistogram, NoiseModel, sample_settings
 
 MAX_TOMOGRAPHY_QUBITS = 4
 
@@ -56,6 +61,31 @@ def _labels(n_qubits: int) -> tuple[str, ...]:
     return tuple("".join(s) for s in itertools.product("IXYZ", repeat=n_qubits))
 
 
+# _SIGNS[l, s, b] weighs outcome bit b of setting letter s (X, Y, Z) in the
+# coefficient of Pauli letter l (I, X, Y, Z): a letter is read from its own
+# setting with sign (-1)^b, and I from the Z setting with sign +1.
+_SIGNS = np.array([
+    [[0, 0], [0, 0], [1, 1]],
+    [[1, -1], [0, 0], [0, 0]],
+    [[0, 0], [1, -1], [0, 0]],
+    [[0, 0], [0, 0], [1, -1]],
+], dtype=np.int64)
+
+
+def _estimate(counts: np.ndarray, shots: int) -> np.ndarray:
+    """Coefficients in label order from (3^n, 2^n) setting counts."""
+    n = counts.shape[1].bit_length() - 1
+    signed = qmath.contract_qubits(counts.reshape((3,) * n + (2,) * n), _SIGNS, n, 2)
+    return signed.reshape(-1) / shots
+
+
+def _invert(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """rho = (1/2^n) sum_L c_L sigma_L for coefficients in label order."""
+    basis = qmath.PAULI_BASIS.transpose(1, 2, 0)  # (row, column, letter)
+    rho = qmath.contract_qubits(coeffs.reshape((4,) * n), basis, n, 1)
+    return rho.reshape(2 ** n, 2 ** n) / 2 ** n
+
+
 @dataclass(frozen=True)
 class ExpectationTable:
     n_qubits: int
@@ -77,21 +107,12 @@ def expectations_from_counts(
         shot_totals.add(hist.shots)
     if len(shot_totals) != 1:
         raise InconsistentShotTotals(f"shot totals differ across settings: {sorted(shot_totals)}")
-
-    values: dict[str, float] = {}
-    for label in _labels(n):
-        if label == "I" * n:
-            values[label] = 1.0
-            continue
-        setting = label.replace("I", "Z")
-        hist = histograms[setting]
-        positions = [i for i, ch in enumerate(label) if ch != "I"]
-        acc = 0
-        for outcome, cnt in hist.counts.items():
-            sign = -1 if sum(int(outcome[i]) for i in positions) % 2 else 1
-            acc += sign * cnt
-        values[label] = acc / hist.shots
-    return ExpectationTable(n, values)
+    counts = np.zeros((len(tomo_plan.settings), 2 ** n), dtype=np.int64)
+    for i, setting in enumerate(tomo_plan.settings):
+        for key, cnt in histograms[setting].counts.items():
+            counts[i, int(key, 2)] = cnt
+    coeffs = _estimate(counts, shot_totals.pop())
+    return ExpectationTable(n, dict(zip(_labels(n), coeffs.tolist())))
 
 
 def exact_expectations(rho: np.ndarray) -> ExpectationTable:
@@ -100,23 +121,20 @@ def exact_expectations(rho: np.ndarray) -> ExpectationTable:
     n = int(round(np.log2(m.shape[0])))
     if m.shape != (2 ** n, 2 ** n):
         raise DimensionMismatch(f"not a square power-of-two matrix: {m.shape}")
-    values = {
-        label: float(np.real(np.trace(m @ qmath.pauli_operator(label))))
-        for label in _labels(n)
-    }
-    return ExpectationTable(n, values)
+    # Tr(rho sigma) = sum_ij rho_ij sigma_ji, one qubit at a time
+    basis = qmath.PAULI_BASIS.transpose(0, 2, 1)
+    coeffs = qmath.contract_qubits(m.reshape((2,) * (2 * n)), basis, n, 2).real.reshape(-1)
+    return ExpectationTable(n, dict(zip(_labels(n), coeffs.tolist())))
 
 
 def reconstruct(table: ExpectationTable) -> np.ndarray:
     """Linear inversion: rho = (1/2^n) sum_L c_L sigma_L."""
     n = table.n_qubits
-    dim = 2 ** n
-    rho = np.zeros((dim, dim), dtype=complex)
-    for label in _labels(n):
-        if label not in table.values:
-            raise IncompleteTable(f"missing coefficient for {label}")
-        rho += table.values[label] * qmath.pauli_operator(label)
-    return rho / dim
+    labels = _labels(n)
+    missing = [label for label in labels if label not in table.values]
+    if missing:
+        raise IncompleteTable(f"missing coefficient for {missing[0]}")
+    return _invert(np.array([table.values[label] for label in labels], dtype=float), n)
 
 
 @dataclass(frozen=True)
@@ -188,13 +206,8 @@ def run_tomography(
     if ideal_m.shape != (dim, dim):
         raise DimensionMismatch(f"ideal has shape {ideal_m.shape}, circuit needs {(dim, dim)}")
 
-    tomo_plan = plan(circuit.n_qubits)
-    histograms = {
-        setting: sample(with_basis_change(circuit, setting), shots, noise, seed, stream=index)
-        for index, setting in enumerate(tomo_plan.settings)
-    }
-    table = expectations_from_counts(tomo_plan, histograms)
-    raw = reconstruct(table)
+    plan(circuit.n_qubits)  # rejects registers too large for tomography
+    raw = _invert(_estimate(sample_settings(circuit, shots, noise, seed), shots), circuit.n_qubits)
     physical, clipped = qmath.make_physical(raw)
     return TomographyReport(
         raw=raw,
@@ -204,6 +217,6 @@ def run_tomography(
         purity=qmath.purity(raw),
         clipped=clipped,
         n_qubits=circuit.n_qubits,
-        shots=shots,
+        shots=int(shots),
         seed=seed,
     )

@@ -142,6 +142,15 @@ class TestEquivalentUpToPhase:
     def test_rejects_shape_mismatch(self):
         assert not equivalent_up_to_phase(np.eye(2), np.eye(4))
 
+    def test_round_off_among_tied_entries_keeps_verdict(self):
+        # every entry has modulus 1/2; shrinking the positive ones by a relative
+        # 1e-14 must not move the phase reference to an entry of opposite sign
+        u = unitary_of(Circuit(2).h(0).h(1).cnot(0, 1))
+        v = u.copy()
+        v[v.real > 0] *= 1 - 1e-14
+        assert equivalent_up_to_phase(u, v)
+        assert equivalent_up_to_phase(v, -1j * u)
+
 
 class TestBellStates:
     def test_kind_tokens_round_trip(self):

@@ -89,6 +89,15 @@ class TestIdealSampling:
             sample(Circuit(1).h(0).measure(0), 0)
         with pytest.raises(ZeroShots):
             sample(Circuit(1).h(0).measure(0), 7.5)
+        for flag in (True, np.bool_(True)):
+            with pytest.raises(ZeroShots):
+                sample(Circuit(1).h(0).measure(0), flag)
+
+    def test_numpy_integer_shots(self):
+        c = bell_prep(BellKind.PSI_PLUS).measure(0, 1, 2)
+        h = sample(c, np.int64(512), seed=3)
+        assert h == sample(c, 512, seed=3)
+        assert type(h.shots) is int
 
     def test_same_seed_bit_identical(self):
         c = bell_prep(BellKind.PSI_PLUS).measure(0, 1, 2)

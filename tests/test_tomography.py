@@ -16,6 +16,7 @@ from belldisc.errors import (
     InconsistentShotTotals,
     MissingSetting,
     TooManyQubits,
+    ZeroShots,
 )
 from belldisc.sampler import CountsHistogram, NoiseModel
 from belldisc.tomography import (
@@ -62,11 +63,11 @@ class TestExactExpectations:
 
 
 class TestReconstruct:
-    @given(seeds)
+    @given(seeds, st.integers(1, 4))
     @settings(deadline=None, max_examples=30)
-    def test_round_trip_random_density(self, seed):
+    def test_round_trip_random_density(self, seed, n_qubits):
         rng = np.random.default_rng(seed)
-        rho = random_density(rng, 8)
+        rho = random_density(rng, 2 ** n_qubits)
         back = reconstruct(exact_expectations(rho))
         assert np.abs(back - rho).max() <= 1e-9
 
@@ -188,6 +189,25 @@ class TestRunTomography:
     def test_rejects_wrong_ideal_shape(self):
         with pytest.raises(DimensionMismatch):
             run_tomography(bell_prep(BellKind.PSI_PLUS), np.eye(4) / 4, shots=64)
+
+    @pytest.mark.parametrize("shots", [0, -5, 7.5, True, np.bool_(True), "64"])
+    def test_rejects_bad_shots(self, shots):
+        c = bell_prep(BellKind.PSI_PLUS)
+        ideal = composite_state(BellKind.PSI_PLUS, 0)
+        with pytest.raises(ZeroShots):
+            run_tomography(c, ideal, shots=shots)
+        # the circuit and the ideal are checked first, as before
+        with pytest.raises(HasMeasurements):
+            run_tomography(c.measure(0), ideal, shots=shots)
+        with pytest.raises(DimensionMismatch):
+            run_tomography(c, np.eye(4) / 4, shots=shots)
+
+    def test_numpy_integer_shots(self):
+        kind = BellKind.PSI_MINUS
+        a = run_tomography(bell_prep(kind), composite_state(kind, 0), shots=np.int64(256), seed=2)
+        b = run_tomography(bell_prep(kind), composite_state(kind, 0), shots=256, seed=2)
+        assert np.array_equal(a.raw, b.raw)
+        assert json.loads(a.to_json())["shots"] == 256
 
     def test_report_serialization(self):
         kind = BellKind.PHI_PLUS
