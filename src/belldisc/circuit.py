@@ -69,6 +69,14 @@ class Gate:
         return f"{self.kind} {self.target}"
 
 
+def _check_unmeasured(gates, measured: set[int] | frozenset[int]) -> None:
+    """Raise at the first gate that touches an already measured qubit."""
+    for g in gates:
+        touched = set(g.qubits) & measured
+        if touched:
+            raise HasMeasurementsBeforeEnd(f"qubit(s) {sorted(touched)} already measured")
+
+
 @dataclass(frozen=True)
 class Circuit:
     n_qubits: int
@@ -91,9 +99,7 @@ class Circuit:
     # -- construction (every method returns a new circuit) --
 
     def append(self, gate: Gate) -> "Circuit":
-        touched = set(gate.qubits) & self.measured
-        if touched:
-            raise HasMeasurementsBeforeEnd(f"qubit(s) {sorted(touched)} already measured")
+        _check_unmeasured((gate,), self.measured)
         return Circuit(self.n_qubits, self.gates + (gate,), self.measured)
 
     def h(self, q: int) -> "Circuit":
@@ -115,15 +121,13 @@ class Circuit:
         return Circuit(self.n_qubits, self.gates, self.measured | set(qubits))
 
     def extend(self, other: "Circuit") -> "Circuit":
-        """Concatenate another circuit on the same register."""
+        """Concatenate another circuit on the same register; the result is validated once."""
         if other.n_qubits != self.n_qubits:
             raise DimensionMismatch(
                 f"cannot extend a {self.n_qubits}-qubit circuit with a {other.n_qubits}-qubit one"
             )
-        out = self
-        for g in other.gates:
-            out = out.append(g)
-        return out.measure(*other.measured)
+        _check_unmeasured(other.gates, self.measured)
+        return Circuit(self.n_qubits, self.gates + other.gates, self.measured | other.measured)
 
     @property
     def gate_count(self) -> int:
@@ -316,7 +320,8 @@ def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
     lines and ``#`` comments are allowed.  A gate following a MEAS marker on
     the same qubit raises :class:`HasMeasurementsBeforeEnd`.
     """
-    ops: list[tuple[str, tuple[int, ...]]] = []
+    gates: list[Gate] = []
+    measured: set[int] = set()
     max_index = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -341,17 +346,14 @@ def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
             raise ParseError(f"line {lineno}: unknown mnemonic {parts[0]!r}")
         if any(a < 0 for a in args):
             raise ParseError(f"line {lineno}: negative qubit index")
-        ops.append((mnemonic, args))
         max_index = max(max_index, *args)
-    if not ops:
+        if mnemonic == "MEAS":
+            measured.add(args[0])
+            continue
+        gate = Gate("CNOT", args[1], args[0]) if mnemonic == "CNOT" else Gate(mnemonic, args[0])
+        _check_unmeasured((gate,), measured)
+        gates.append(gate)
+    if max_index < 0:
         raise ParseError("empty circuit text")
     n = n_qubits if n_qubits is not None else max_index + 1
-    circuit = Circuit(n)
-    for mnemonic, args in ops:
-        if mnemonic == "MEAS":
-            circuit = circuit.measure(args[0])
-        elif mnemonic == "CNOT":
-            circuit = circuit.cnot(args[0], args[1])
-        else:
-            circuit = circuit.append(Gate(mnemonic, args[0]))
-    return circuit
+    return Circuit(n, tuple(gates), frozenset(measured))

@@ -12,12 +12,13 @@ probability p / 4^k, so p = 1 leaves the touched qubits maximally mixed.
 
 rho is a (2,)*2n tensor; each gate and its channel form one 4^k x 4^k
 matrix applied to the row and column axes of the k qubits the gate touches
-(:func:`belldisc.circuit.apply_matrix`).  Sampling is deterministic: Philox
-keyed by ``(seed, stream)`` and inverse-CDF lookup reproduce a histogram bit
-for bit.  ``sample_settings`` draws all Pauli settings of a tomography from
-one evolution, count for count as ``sample`` per setting.
-``exact_distribution`` applies the readout channel analytically; it is the
-infinite-shot oracle for ``sample``.
+(:func:`belldisc.circuit.apply_matrix`).  A circuit whose gates carry no
+depolarizing noise is evolved as a 2^n state vector instead.  Sampling is
+deterministic: Philox keyed by ``(seed, stream)`` and inverse-CDF lookup
+reproduce a histogram bit for bit.  ``sample_settings`` draws all Pauli
+settings of a tomography from one evolution, count for count as ``sample``
+per setting.  ``exact_distribution`` applies the readout channel
+analytically; it is the infinite-shot oracle for ``sample``.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from . import qmath
-from .circuit import GATE_MATRICES, Circuit, Gate, apply_matrix
+from .circuit import GATE_MATRICES, Circuit, Gate, apply_matrix, simulate
 from .errors import (
     DimensionMismatch,
     IdentityInSetting,
@@ -128,6 +129,10 @@ _REPLACEMENT = {
 }
 
 
+def _depolarizing(noise: NoiseModel, kind: str) -> float:
+    return noise.per_cnot_depolarizing if kind == "CNOT" else noise.per_gate_depolarizing
+
+
 def _channels(noise: NoiseModel) -> dict[str, np.ndarray]:
     """Each gate kind followed by its depolarizing channel, as one 4^k x 4^k matrix.
 
@@ -136,13 +141,18 @@ def _channels(noise: NoiseModel) -> dict[str, np.ndarray]:
     """
     out = {}
     for kind in GATE_MATRICES:
-        p = noise.per_cnot_depolarizing if kind == "CNOT" else noise.per_gate_depolarizing
+        p = _depolarizing(noise, kind)
         out[kind] = (1.0 - p) * _CONJUGATION[kind] + p * _REPLACEMENT[kind]
     return out
 
 
 def final_density(circuit: Circuit, noise: NoiseModel = IDEAL) -> np.ndarray:
-    """Density matrix after the circuit's gates and their noise channels."""
+    """Density matrix after the circuit's gates and their noise channels.
+
+    If no gate carries depolarizing noise, it is |psi><psi| of a 2^n state vector.
+    """
+    if not any(_depolarizing(noise, g.kind) for g in circuit.gates):
+        return qmath.projector(simulate(circuit))
     n = circuit.n_qubits
     channels = _channels(noise)
     rho = qmath.projector(qmath.ket("0" * n)).reshape((2,) * (2 * n))
@@ -254,8 +264,6 @@ def with_basis_change(circuit: Circuit, setting: str) -> Circuit:
         raise IdentityInSetting(f"setting {setting!r} contains identity")
     if any(ch not in "XYZ" for ch in setting):
         raise ValueError(f"setting {setting!r} has letters outside X, Y, Z")
-    out = circuit
-    for q, ch in enumerate(setting):
-        for kind in _BASIS_CHANGE[ch]:
-            out = out.append(Gate(kind, q))
-    return out.measure(*range(circuit.n_qubits))
+    n = circuit.n_qubits
+    rotations = tuple(Gate(kind, q) for q, ch in enumerate(setting) for kind in _BASIS_CHANGE[ch])
+    return circuit.extend(Circuit(n, rotations, frozenset(range(n))))

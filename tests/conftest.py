@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from belldisc.circuit import Circuit, Gate
+from belldisc.sampler import NoiseModel
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -42,3 +44,24 @@ def random_circuit(rng: np.random.Generator, n_qubits: int, max_gates: int) -> C
         elif kind != "CNOT":
             c = c.append(Gate(kind, int(rng.integers(n_qubits))))
     return c
+
+
+@st.composite
+def circuits(draw, max_qubits: int = 5, max_gates: int = 12, n_qubits: int | None = None) -> Circuit:
+    n = n_qubits or draw(st.integers(1, max_qubits))
+    kinds = ["H", "X", "S", "SDG"] + (["CNOT"] if n > 1 else [])
+    gates = []
+    for _ in range(draw(st.integers(0, max_gates))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "CNOT":
+            control, target = draw(st.permutations(range(n)))[:2]
+            gates.append(Gate("CNOT", target, control))
+        else:
+            gates.append(Gate(kind, draw(st.integers(0, n - 1))))
+    return Circuit(n, tuple(gates))
+
+
+probabilities = st.floats(0.0, 1.0)
+# noise-free gates about half the time, so the pure-state path is drawn too
+gate_strengths = st.one_of(st.just(0.0), probabilities)
+noise_models = st.builds(NoiseModel, gate_strengths, gate_strengths, probabilities)

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from belldisc import qmath
 from belldisc.circuit import (
@@ -30,7 +34,8 @@ from belldisc.errors import (
     HasMeasurementsBeforeEnd,
     ParseError,
 )
-from conftest import random_circuit
+from belldisc.sampler import with_basis_change
+from conftest import circuits, random_circuit
 
 ALL_KINDS = list(BellKind)
 
@@ -84,6 +89,54 @@ class TestGateAndCircuitValidation:
         assert c.gate_count == 1 and d.gate_count == 2
         with pytest.raises(AttributeError):
             c.n_qubits = 5
+
+
+class TestBuildOnce:
+    """Building a circuit of g gates validates a constant number of circuits, not O(g)."""
+
+    @staticmethod
+    def builds(make) -> int:
+        calls = []
+        validate = Circuit.__post_init__
+
+        def counting(circuit):
+            calls.append(circuit)
+            validate(circuit)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Circuit, "__post_init__", counting)
+            make()
+        return len(calls)
+
+    @pytest.mark.parametrize("gates", [1, 10, 100])
+    def test_extend_and_parse(self, gates):
+        block = Circuit(3, tuple(Gate("CNOT", i % 3, (i + 1) % 3) for i in range(gates))).measure(0)
+        head = Circuit(3).h(1)
+        assert self.builds(lambda: head.extend(block)) == 1
+        assert self.builds(lambda: parse_circuit(format_circuit(block))) == 1
+
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_with_basis_change(self, n):
+        c = Circuit(n).h(0)
+        assert self.builds(lambda: with_basis_change(c, "Y" * n)) == 2
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        circuits(n_qubits=n), circuits(n_qubits=n),
+        st.sets(st.integers(0, n - 1)), st.sets(st.integers(0, n - 1)))))
+    @settings(deadline=None, max_examples=80)
+    def test_extend_equals_append_fold(self, args):
+        a, b, a_measured, b_measured = args
+        a, b = a.measure(*a_measured), b.measure(*b_measured)
+        try:
+            folded = a
+            for g in b.gates:
+                folded = folded.append(g)
+            folded = folded.measure(*b.measured)
+        except HasMeasurementsBeforeEnd as exc:
+            with pytest.raises(HasMeasurementsBeforeEnd, match=re.escape(str(exc))):
+                a.extend(b)
+        else:
+            assert a.extend(b) == folded
 
 
 class TestSimulation:

@@ -42,28 +42,9 @@ from belldisc.tomography import (
     reconstruct,
     run_tomography,
 )
-from conftest import random_density, random_state
+from conftest import circuits, noise_models, random_density, random_state
 
 TOL = 1e-12
-
-
-@st.composite
-def circuits(draw, max_qubits: int = 5, max_gates: int = 12) -> Circuit:
-    n = draw(st.integers(1, max_qubits))
-    kinds = ["H", "X", "S", "SDG"] + (["CNOT"] if n > 1 else [])
-    gates = []
-    for _ in range(draw(st.integers(0, max_gates))):
-        kind = draw(st.sampled_from(kinds))
-        if kind == "CNOT":
-            control, target = draw(st.permutations(range(n)))[:2]
-            gates.append(Gate("CNOT", target, control))
-        else:
-            gates.append(Gate(kind, draw(st.integers(0, n - 1))))
-    return Circuit(n, tuple(gates))
-
-
-probabilities = st.floats(0.0, 1.0)
-noise_models = st.builds(NoiseModel, probabilities, probabilities, probabilities)
 
 
 class TestKernelAgainstDenseOracle:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from belldisc import qmath
 from belldisc.circuit import BellKind, Circuit, bell_prep, simulate
@@ -21,7 +23,7 @@ from belldisc.sampler import (
     sample,
     with_basis_change,
 )
-from conftest import random_circuit
+from conftest import circuits, noise_models, random_circuit
 
 
 class TestNoiseModel:
@@ -139,6 +141,17 @@ class TestExactDistribution:
     def test_requires_measurements(self):
         with pytest.raises(NoMeasurements):
             exact_distribution(Circuit(1).h(0))
+
+    @given(circuits(), noise_models, st.data(), st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=60)
+    def test_samples_within_total_variation_of_exact(self, c, noise, data, seed):
+        # E[TV] <= 0.5 sqrt(2^m / shots) by Cauchy-Schwarz; by McDiarmid the
+        # TV exceeds its mean by 0.04 with probability exp(-2 shots 0.04^2) ~ 4e-12
+        c = c.measure(*data.draw(st.sets(st.integers(0, c.n_qubits - 1), min_size=1)))
+        shots, m = 8192, len(c.measured)
+        hist = sample(c, shots, noise, seed)
+        tv = 0.5 * sum(abs(hist.probability(k) - p) for k, p in exact_distribution(c, noise).items())
+        assert tv <= 0.5 * np.sqrt(2 ** m / shots) + 0.04
 
 
 class TestDepolarizing:

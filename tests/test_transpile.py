@@ -166,3 +166,7 @@ class TestRandomSoundness:
             routed = transpile(c)
             assert_respects_map(routed, DEFAULT_MAP)
             assert_equivalent(c, routed)
+            assert transpile(routed) == routed
+        for block in (device_parity_block(), device_phase_block(), device_combined_block()):
+            routed = transpile(block)
+            assert transpile(routed) == routed
