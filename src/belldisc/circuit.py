@@ -152,6 +152,47 @@ def apply_matrix(t: np.ndarray, u: np.ndarray, axes) -> np.ndarray:
     return out.transpose(sorted(range(t.ndim), key=order.__getitem__))
 
 
+def lift(matrices: dict[str, np.ndarray]) -> dict[int, dict[tuple, np.ndarray]]:
+    """Each gate kind's matrix embedded in a run of one or two qubits, the first most significant.
+
+    Keyed by run width, then by (kind, run position of the gate's first qubit:
+    a CNOT's control).  A qubit takes 2 values, or 4 for a channel (row, column).
+    """
+    d, eye, cnot = len(matrices["H"]), np.eye(len(matrices["H"])), matrices["CNOT"]
+    one = {(kind, 0): m for kind, m in matrices.items() if kind != "CNOT"}
+    two = {(kind, 0): np.kron(m, eye) for (kind, _), m in one.items()}
+    two |= {(kind, 1): np.kron(eye, m) for (kind, _), m in one.items()}
+    two["CNOT", 0], two["CNOT", 1] = cnot, cnot.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(cnot.shape)
+    return {1: one, 2: two}
+
+
+_UNITARIES = lift(GATE_MATRICES)
+
+
+def fuse(gates, lifted: dict[int, dict[tuple, np.ndarray]]) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Split gates into maximal runs on at most two qubits, each multiplied into one matrix.
+
+    Returns ``(qubits, product)`` per run, each gate's matrix taken from ``lifted``.
+    """
+    runs, qubits = [], []
+    for g in gates:
+        new = [q for q in g.qubits if q not in qubits]
+        if runs and len(qubits) + len(new) <= 2:
+            qubits += new
+            members.append(g)
+        else:
+            qubits, members = list(g.qubits), [g]
+            runs.append((qubits, members))
+    fused = []
+    for qubits, members in runs:
+        table = lifted[len(qubits)]
+        product = table[members[0].kind, members[0].qubits[0] != qubits[0]]
+        for g in members[1:]:
+            product = table[g.kind, g.qubits[0] != qubits[0]].dot(product)
+        fused.append((tuple(qubits), product))
+    return fused
+
+
 def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
     """Full 2^n x 2^n unitary of a single gate (read-only)."""
     u = unitary_of(Circuit(n_qubits, (gate,)))
@@ -160,7 +201,7 @@ def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
 
 
 def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
-    """Final state vector; measurement markers are ignored here."""
+    """Final state vector, one kernel call per fused run; measurement markers are ignored."""
     dim = 2 ** circuit.n_qubits
     if initial is None:
         state = qmath.ket("0" * circuit.n_qubits)
@@ -169,19 +210,19 @@ def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
         if state.shape[0] != dim:
             raise DimensionMismatch(f"initial state has dim {state.shape[0]}, circuit needs {dim}")
     state = state.reshape((2,) * circuit.n_qubits)
-    for g in circuit.gates:
-        state = apply_matrix(state, GATE_MATRICES[g.kind], g.qubits)
+    for qubits, u in fuse(circuit.gates, _UNITARIES):
+        state = apply_matrix(state, u, qubits)
     return state.reshape(-1)
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
-    """Full unitary of a measurement-free circuit."""
+    """Full unitary of a measurement-free circuit, one kernel call per fused run."""
     if circuit.measured:
         raise HasMeasurements("circuit has measurement markers")
     n = circuit.n_qubits
     u = np.eye(2 ** n, dtype=complex).reshape((2,) * (2 * n))
-    for g in circuit.gates:
-        u = apply_matrix(u, GATE_MATRICES[g.kind], g.qubits)
+    for qubits, m in fuse(circuit.gates, _UNITARIES):
+        u = apply_matrix(u, m, qubits)
     return u.reshape(2 ** n, 2 ** n)
 
 

@@ -10,10 +10,10 @@ strength ``p`` is the full-replacement probability,
 equivalent to each of the 4^k - 1 non-identity Pauli errors occurring with
 probability p / 4^k, so p = 1 leaves the touched qubits maximally mixed.
 
-rho is a (2,)*2n tensor; each gate and its channel form one 4^k x 4^k
-matrix applied to the row and column axes of the k qubits the gate touches
-(:func:`belldisc.circuit.apply_matrix`).  A circuit whose gates carry no
-depolarizing noise is evolved as a 2^n state vector instead.  Sampling is
+rho is a (2,)*2n tensor.  Each maximal run of gates on at most two qubits,
+with their channels, is one matrix applied to its qubits' row and column axes
+(:func:`belldisc.circuit.fuse`, then ``apply_matrix``).  A circuit whose gates
+carry no depolarizing noise is evolved as a 2^n state vector.  Sampling is
 deterministic: Philox keyed by ``(seed, stream)`` and inverse-CDF lookup
 reproduce a histogram bit for bit.  ``sample_settings`` draws all Pauli
 settings of a tomography from one evolution, count for count as ``sample``
@@ -29,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from . import qmath
-from .circuit import GATE_MATRICES, Circuit, Gate, apply_matrix, simulate
+from .circuit import GATE_MATRICES, Circuit, Gate, apply_matrix, fuse, lift, simulate
 from .errors import (
     DimensionMismatch,
     IdentityInSetting,
@@ -76,6 +76,7 @@ class CountsHistogram:
     def __post_init__(self) -> None:
         if self.n_bits < 1:
             raise DimensionMismatch("histogram needs at least one bit")
+        object.__setattr__(self, "shots", _check_shots(self.shots))
         coerced: dict[str, int] = {}
         for key, cnt in dict(self.counts).items():
             if len(key) != self.n_bits or any(b not in "01" for b in key):
@@ -100,7 +101,7 @@ class CountsHistogram:
     @classmethod
     def from_json_dict(cls, data: dict) -> "CountsHistogram":
         try:
-            return cls(int(data["n_bits"]), int(data["shots"]), dict(data["counts"]))
+            return cls(int(data["n_bits"]), data["shots"], dict(data["counts"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad counts payload: {exc}") from exc
 
@@ -119,45 +120,51 @@ def _check_shots(shots) -> int:
     return int(shots)
 
 
-# On a gate's row axes, then its column axes, of rho: U rho U^+ is U (x) U*,
-# and the full replacement Tr_S(rho) (x) I/2^k is |I>><<I| / 2^k, with |I>>
-# the identity flattened the same way.
-_CONJUGATION = {kind: np.kron(u, u.conj()) for kind, u in GATE_MATRICES.items()}
-_REPLACEMENT = {
+def _lifted(channels: dict[str, np.ndarray]) -> dict[int, tuple[tuple, np.ndarray]]:
+    """:func:`lift` of channels re-laid per qubit (row q0, col q0, row q1, ...): keys, stack per width."""
+    per_qubit = {}
+    for kind, m in channels.items():
+        k = len(m).bit_length() // 2
+        order = [i + j * k for i in range(k) for j in range(2)]
+        per_qubit[kind] = m.reshape((2,) * 4 * k).transpose(order + [2 * k + o for o in order]).reshape(m.shape)
+    return {width: (tuple(table), np.stack(tuple(table.values()))) for width, table in lift(per_qubit).items()}
+
+
+_CONJUGATION = _lifted({kind: np.kron(u, u.conj()) for kind, u in GATE_MATRICES.items()})
+_REPLACEMENT = _lifted({
     kind: np.outer(np.eye(len(u)).ravel(), np.eye(len(u)).ravel()) / len(u)
     for kind, u in GATE_MATRICES.items()
-}
+})
 
 
 def _depolarizing(noise: NoiseModel, kind: str) -> float:
     return noise.per_cnot_depolarizing if kind == "CNOT" else noise.per_gate_depolarizing
 
 
-def _channels(noise: NoiseModel) -> dict[str, np.ndarray]:
-    """Each gate kind followed by its depolarizing channel, as one 4^k x 4^k matrix.
+def _channels(noise: NoiseModel) -> dict[int, dict[tuple, np.ndarray]]:
+    """Each gate kind followed by its depolarizing channel, lifted as :func:`lift` does.
 
     Full replacement after a gate forgets the gate, so the pair is
-    (1 - p) U (x) U* + p |I>><<I| / 2^k.
+    (1 - p) U (x) U* + p |I>><<I| / 2^k, |I>> the identity flattened like rho.
     """
     out = {}
-    for kind in GATE_MATRICES:
-        p = _depolarizing(noise, kind)
-        out[kind] = (1.0 - p) * _CONJUGATION[kind] + p * _REPLACEMENT[kind]
+    for width, (keys, conjugation) in _CONJUGATION.items():
+        p = np.array([_depolarizing(noise, kind) for kind, _ in keys])[:, None, None]
+        out[width] = dict(zip(keys, (1.0 - p) * conjugation + p * _REPLACEMENT[width][1]))
     return out
 
 
 def final_density(circuit: Circuit, noise: NoiseModel = IDEAL) -> np.ndarray:
-    """Density matrix after the circuit's gates and their noise channels.
+    """Density matrix after the gates and their noise channels, one kernel call per fused run.
 
     If no gate carries depolarizing noise, it is |psi><psi| of a 2^n state vector.
     """
     if not any(_depolarizing(noise, g.kind) for g in circuit.gates):
         return qmath.projector(simulate(circuit))
     n = circuit.n_qubits
-    channels = _channels(noise)
     rho = qmath.projector(qmath.ket("0" * n)).reshape((2,) * (2 * n))
-    for g in circuit.gates:
-        rho = apply_matrix(rho, channels[g.kind], g.qubits + tuple(n + q for q in g.qubits))
+    for qubits, m in fuse(circuit.gates, _channels(noise)):
+        rho = apply_matrix(rho, m, [a for q in qubits for a in (q, n + q)])
     return rho.reshape(2 ** n, 2 ** n)
 
 
@@ -243,7 +250,7 @@ def sample_settings(
     for gates in _BASIS_CHANGE.values():
         rotation = np.eye(4)
         for kind in gates:
-            rotation = channels[kind] @ rotation
+            rotation = channels[1][kind, 0] @ rotation
         m.append(np.einsum("bbij->bij", rotation.reshape(2, 2, 2, 2)))
     rho = final_density(circuit, noise).reshape((2,) * (2 * n))
     probs = _normalized(qmath.contract_qubits(rho, np.stack(m), n, 2).real.reshape(3 ** n, 2 ** n))

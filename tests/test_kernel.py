@@ -12,12 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import belldisc.circuit
+import belldisc.sampler
 import dense_oracle as oracle
 from belldisc import qmath
 from belldisc.circuit import (
     BellKind,
     Circuit,
     Gate,
+    apply_matrix,
     bell_prep,
     combined_check,
     parity_check,
@@ -27,6 +30,7 @@ from belldisc.circuit import (
 )
 from belldisc.refdata import EMBEDDED_LABELS, ideal_state
 from belldisc.sampler import (
+    IDEAL,
     CountsHistogram,
     NoiseModel,
     exact_distribution,
@@ -41,6 +45,12 @@ from belldisc.tomography import (
     plan,
     reconstruct,
     run_tomography,
+)
+from belldisc.transpile import (
+    device_combined_block,
+    device_parity_block,
+    device_phase_block,
+    transpile,
 )
 from conftest import circuits, noise_models, random_density, random_state
 
@@ -79,6 +89,80 @@ class TestKernelAgainstDenseOracle:
         out = simulate(Circuit(1), psi)
         out[0] = 0.0
         assert psi[0] == 1.0
+
+
+ROUTED_BLOCKS = [transpile(b) for b in (device_parity_block(), device_phase_block(), device_combined_block())]
+
+
+class TestFusedRoutedCircuits:
+    """Routed circuits are long runs on one spoke-hub pair, holding both CNOT
+    orientations and one-qubit gates on either side of the pair."""
+
+    @given(
+        st.one_of(st.sampled_from(ROUTED_BLOCKS), circuits(n_qubits=5, max_gates=6).map(transpile)),
+        st.one_of(st.just(IDEAL), noise_models),
+        st.data(),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_against_dense_oracle(self, c, noise, data):
+        assert np.abs(simulate(c) - oracle.simulate(c)).max() <= TOL
+        assert np.abs(unitary_of(c) - oracle.unitary_of(c)).max() <= TOL
+        assert np.abs(final_density(c, noise) - oracle.final_density(c, noise)).max() <= TOL
+        c = c.measure(*data.draw(st.sets(st.integers(0, 4), min_size=1)))
+        new, old = exact_distribution(c, noise), oracle.exact_distribution(c, noise)
+        assert max(abs(new[k] - old[k]) for k in new) <= TOL
+
+
+class TestKernelCalls:
+    """One kernel call per fused run of gates, not one per gate."""
+
+    @staticmethod
+    def calls(run) -> int:
+        axes_seen = []
+
+        def counting(t, u, axes):
+            axes_seen.append(axes)
+            return apply_matrix(t, u, axes)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(belldisc.circuit, "apply_matrix", counting)
+            mp.setattr(belldisc.sampler, "apply_matrix", counting)
+            run()
+        return len(axes_seen)
+
+    def test_routed_block_unitary(self):
+        routed = transpile(device_combined_block())
+        assert self.calls(lambda: unitary_of(routed)) <= 8 < routed.gate_count
+
+    @pytest.mark.parametrize("kind", list(BellKind))
+    def test_noisy_routed_density(self, kind):
+        c = bell_prep(kind, system=(2, 1), n_qubits=5).extend(transpile(device_combined_block()))
+        assert self.calls(lambda: final_density(c, NOISE)) <= 9 < c.gate_count
+
+    @given(
+        circuits(n_qubits=2, max_gates=20),
+        st.integers(2, 5).flatmap(lambda n: st.tuples(st.just(n), st.permutations(range(n)))),
+        noise_models,
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_one_pair_is_one_call(self, pair_circuit, register, noise):
+        n, order = register
+        gates = tuple(
+            Gate(g.kind, order[g.target], None if g.control is None else order[g.control])
+            for g in pair_circuit.gates
+        )
+        c = Circuit(n, gates)
+        expected = min(1, c.gate_count)
+        assert self.calls(lambda: simulate(c)) == expected
+        assert self.calls(lambda: unitary_of(c)) == expected
+        assert self.calls(lambda: final_density(c, noise)) == expected
+
+    @given(circuits(), noise_models)
+    @settings(deadline=None, max_examples=60)
+    def test_never_more_calls_than_gates(self, c, noise):
+        assert self.calls(lambda: simulate(c)) <= c.gate_count
+        assert self.calls(lambda: unitary_of(c)) <= c.gate_count
+        assert self.calls(lambda: final_density(c, noise)) <= c.gate_count
 
 
 class TestDepolarizing:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,15 @@ class TestCountsHistogram:
             CountsHistogram.from_json("not json")
         with pytest.raises(ParseError):
             CountsHistogram.from_json('{"shots": 3}')
+
+    @pytest.mark.parametrize("shots", [0, True, -1])
+    def test_rejects_shots_that_are_not_positive_integers(self, shots):
+        # for 0 and True the counts sum to the shots, so only the shot count is wrong
+        counts = {"1": int(shots)} if shots > 0 else {}
+        with pytest.raises(ZeroShots):
+            CountsHistogram(1, shots, counts)
+        with pytest.raises(ZeroShots):
+            CountsHistogram.from_json(json.dumps({"n_bits": 1, "shots": shots, "counts": counts}))
 
 
 class TestIdealSampling:
