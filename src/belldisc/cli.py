@@ -191,10 +191,8 @@ def cmd_tomo(args: argparse.Namespace) -> int:
     )
     _atomic_write(base.with_suffix(".matrix.json"), json.dumps(matrix_payload, indent=1) + "\n")
 
-    header = "row," + ",".join(str(i) for i in range(1, 9))
-    lines = [header]
-    for i, row in enumerate(report.raw.real, start=1):
-        lines.append(f"{i}," + ",".join(f"{v:.6f}" for v in row))
+    lines = ["row," + ",".join(str(i) for i in range(1, 9))]
+    lines += [f"{i}," + ",".join(f"{v:.6f}" for v in row) for i, row in enumerate(report.raw.real, start=1)]
     _atomic_write(base.with_suffix(".rho_real.csv"), "\n".join(lines) + "\n")
     return 0
 
@@ -212,12 +210,9 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         dev_note = ""
         if row.label in PUBLISHED_DEVIATION:
             avg_t, max_t = PUBLISHED_DEVIATION[row.label]
-            dev_ok = (
-                abs(row.avg_dev - avg_t) <= DEVIATION_TOL
-                and abs(row.max_dev - max_t) <= DEVIATION_TOL
-            )
+            ok = (ok and abs(row.avg_dev - avg_t) <= DEVIATION_TOL
+                  and abs(row.max_dev - max_t) <= DEVIATION_TOL)
             dev_note = f" (dev targets {avg_t:.3f}/{max_t:.3f})"
-            ok = ok and dev_ok
         all_ok = all_ok and ok
         status = "PASS" if ok else "FAIL"
         print(
@@ -227,16 +222,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _atomic_write(Path(args.out) / "metrics.csv", metrics_to_csv(rows))
     elif args.format == "json":
-        payload = [
-            {
-                "label": r.label,
-                "fidelity": round(r.fidelity, 6),
-                "avg_dev": round(r.avg_dev, 6),
-                "max_dev": round(r.max_dev, 6),
-                "purity": round(r.purity, 6),
-            }
-            for r in rows
-        ]
+        metrics = ("fidelity", "avg_dev", "max_dev", "purity")
+        payload = [{"label": r.label, **{k: round(getattr(r, k), 6) for k in metrics}} for r in rows]
         _atomic_write(Path(args.out) / "metrics.json", json.dumps(payload, indent=1) + "\n")
     print("all rows PASS" if all_ok else "some rows FAIL")
     return 0 if all_ok else 1

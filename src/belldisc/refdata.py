@@ -200,8 +200,5 @@ def reproduce_metrics() -> tuple[MetricsRow, ...]:
 
 def metrics_to_csv(rows: tuple[MetricsRow, ...]) -> str:
     lines = ["label,fidelity,avg_dev,max_dev,purity"]
-    for r in rows:
-        lines.append(
-            f"{r.label},{r.fidelity:.6f},{r.avg_dev:.6f},{r.max_dev:.6f},{r.purity:.6f}"
-        )
+    lines += [f"{r.label},{r.fidelity:.6f},{r.avg_dev:.6f},{r.max_dev:.6f},{r.purity:.6f}" for r in rows]
     return "\n".join(lines) + "\n"

@@ -13,12 +13,12 @@ probability p / 4^k, so p = 1 leaves the touched qubits maximally mixed.
 rho is a (2,)*2n tensor.  Each maximal run of gates on at most two qubits,
 with their channels, is one matrix applied to its qubits' row and column axes
 (:func:`belldisc.circuit.fuse`, then ``apply_matrix``).  A circuit whose gates
-carry no depolarizing noise is evolved as a 2^n state vector.  Sampling is
-deterministic: Philox keyed by ``(seed, stream)`` and inverse-CDF lookup
-reproduce a histogram bit for bit.  ``sample_settings`` draws all Pauli
-settings of a tomography from one evolution, count for count as ``sample``
-per setting.  ``exact_distribution`` applies the readout channel
-analytically; it is the infinite-shot oracle for ``sample``.
+carry no depolarizing noise is evolved as a 2^n state vector.  Readout flips
+are folded into the probabilities: ``exact_distribution`` is the post-readout
+law, and ``sample`` draws it in one multinomial draw keyed by ``(seed,
+stream)``, its CDF rounded to multiples of 2^-32 so that laws differing only
+by round-off draw the same counts.  ``sample_settings`` draws all Pauli
+settings of a tomography from one evolution, count for count as ``sample``.
 """
 from __future__ import annotations
 
@@ -39,6 +39,7 @@ from .errors import (
 )
 
 _MASK64 = (1 << 64) - 1
+_CDF_GRID = 2.0 ** 32  # absorbs round-off, and moves no CDF entry by more than 2^-33
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,9 @@ class CountsHistogram:
     counts: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.n_bits < 1:
-            raise DimensionMismatch("histogram needs at least one bit")
+        if not _is_positive_int(self.n_bits):
+            raise DimensionMismatch(f"histogram needs a positive integer number of bits, got {self.n_bits!r}")
+        object.__setattr__(self, "n_bits", int(self.n_bits))
         object.__setattr__(self, "shots", _check_shots(self.shots))
         coerced: dict[str, int] = {}
         for key, cnt in dict(self.counts).items():
@@ -101,7 +103,7 @@ class CountsHistogram:
     @classmethod
     def from_json_dict(cls, data: dict) -> "CountsHistogram":
         try:
-            return cls(int(data["n_bits"]), data["shots"], dict(data["counts"]))
+            return cls(data["n_bits"], data["shots"], dict(data["counts"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad counts payload: {exc}") from exc
 
@@ -114,8 +116,12 @@ class CountsHistogram:
         return cls.from_json_dict(data)
 
 
+def _is_positive_int(value) -> bool:
+    return not isinstance(value, (bool, np.bool_)) and isinstance(value, (int, np.integer)) and value >= 1
+
+
 def _check_shots(shots) -> int:
-    if isinstance(shots, (bool, np.bool_)) or not isinstance(shots, (int, np.integer)) or shots < 1:
+    if not _is_positive_int(shots):
         raise ZeroShots(f"shots must be a positive integer, got {shots!r}")
     return int(shots)
 
@@ -159,11 +165,15 @@ def final_density(circuit: Circuit, noise: NoiseModel = IDEAL) -> np.ndarray:
 
     If no gate carries depolarizing noise, it is |psi><psi| of a 2^n state vector.
     """
+    return _density(circuit, noise)
+
+
+def _density(circuit: Circuit, noise: NoiseModel, channels: dict | None = None) -> np.ndarray:
     if not any(_depolarizing(noise, g.kind) for g in circuit.gates):
         return qmath.projector(simulate(circuit))
     n = circuit.n_qubits
     rho = qmath.projector(qmath.ket("0" * n)).reshape((2,) * (2 * n))
-    for qubits, m in fuse(circuit.gates, _channels(noise)):
+    for qubits, m in fuse(circuit.gates, _channels(noise) if channels is None else channels):
         rho = apply_matrix(rho, m, [a for q in qubits for a in (q, n + q)])
     return rho.reshape(2 ** n, 2 ** n)
 
@@ -173,12 +183,23 @@ def _normalized(probs: np.ndarray) -> np.ndarray:
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def _measured_probs(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
-    """Pre-readout probabilities of the measured bits."""
+def _readout(probs: np.ndarray, r: float) -> np.ndarray:
+    """Post-readout law over the last axis: each of its bits flips independently with probability r."""
+    if r == 0.0:
+        return probs
+    lead, m = probs.ndim - 1, probs.shape[-1].bit_length() - 1
+    t = probs.reshape(probs.shape[:-1] + (2,) * m)
+    for axis in range(lead, lead + m):
+        t = (1.0 - r) * t + r * np.flip(t, axis=axis)
+    return t.reshape(probs.shape)
+
+
+def _law(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
+    """Post-readout probabilities of the measured bits."""
     n = circuit.n_qubits
     probs = np.real(np.diag(final_density(circuit, noise))).reshape((2,) * n)
     probs = probs.sum(axis=tuple(q for q in range(n) if q not in circuit.measured))
-    return _normalized(probs.reshape(-1))
+    return _readout(_normalized(probs.reshape(-1)), noise.readout_flip)
 
 
 def exact_distribution(circuit: Circuit, noise: NoiseModel = IDEAL) -> dict[str, float]:
@@ -186,45 +207,35 @@ def exact_distribution(circuit: Circuit, noise: NoiseModel = IDEAL) -> dict[str,
     if not circuit.measured:
         raise NoMeasurements("circuit has no measured qubits")
     m = len(circuit.measured)
-    t = _measured_probs(circuit, noise).reshape((2,) * m)
-    r = noise.readout_flip
-    if r > 0.0:
-        for axis in range(m):
-            t = (1.0 - r) * t + r * np.flip(t, axis=axis)
-    return {format(i, f"0{m}b"): float(p) for i, p in enumerate(t.reshape(-1))}
+    return {format(i, f"0{m}b"): float(p) for i, p in enumerate(_law(circuit, noise))}
 
 
-def _draw(probs: np.ndarray, shots: int, readout_flip: float, seed: int, stream: int) -> np.ndarray:
-    """Counts of ``shots`` draws from ``probs``: one uniform per shot, then one per shot and bit.
+def _on_grid(probs: np.ndarray) -> np.ndarray:
+    """Rows of ``probs`` whose CDFs are rounded to multiples of 1/_CDF_GRID.
 
-    An outcome counts the CDF entries at or below its uniform, as
-    ``searchsorted(side="right")`` would; no uniform reaches the last entry, 1.
+    Every later step of the draw is then exact, so two laws that differ only
+    by round-off draw the same counts (numpy's binomial takes another branch
+    when its ratio passes 0.5, which equal probabilities sit on).
     """
-    m = probs.size.bit_length() - 1
-    rng = np.random.Generator(np.random.Philox(key=[seed & _MASK64, stream & _MASK64]))
-    u = rng.random(shots)
-    # the narrowest integer type that holds every outcome keeps the loop cheap
-    outcomes = np.zeros(shots, dtype=np.min_scalar_type(probs.size - 1))
-    for edge in np.cumsum(probs)[:-1]:
-        outcomes += u >= edge
-    if readout_flip > 0.0:
-        flips = rng.random((shots, m)) < readout_flip
-        outcomes ^= flips @ (1 << np.arange(m - 1, -1, -1)).astype(outcomes.dtype)
-    return np.bincount(outcomes, minlength=probs.size)
+    return np.diff(np.rint(np.cumsum(probs, axis=-1) * _CDF_GRID) / _CDF_GRID, axis=-1, prepend=0.0)
+
+
+def _draw(probs: np.ndarray, shots: int, seed: int, streams) -> np.ndarray:
+    """Counts (rows, 2^m) of ``shots`` draws from each row of ``probs``, row i keyed by (seed, streams[i])."""
+    return np.stack([
+        np.random.Generator(np.random.Philox(key=[seed & _MASK64, stream & _MASK64])).multinomial(shots, row)
+        for stream, row in zip(streams, _on_grid(probs))
+    ])
 
 
 def sample(
-    circuit: Circuit,
-    shots: int,
-    noise: NoiseModel = IDEAL,
-    seed: int = 0,
-    stream: int = 0,
+    circuit: Circuit, shots: int, noise: NoiseModel = IDEAL, seed: int = 0, stream: int = 0
 ) -> CountsHistogram:
-    """Draw ``shots`` outcomes; readout flips are applied per sampled string."""
+    """Draw ``shots`` outcomes from the post-readout law of :func:`exact_distribution`, in one draw."""
     if not circuit.measured:
         raise NoMeasurements("circuit has no measured qubits")
     shots = _check_shots(shots)
-    counts = _draw(_measured_probs(circuit, noise), shots, noise.readout_flip, seed, stream)
+    counts = _draw(_law(circuit, noise)[None], shots, seed, [stream])[0]
     m = len(circuit.measured)
     hist = {format(i, f"0{m}b"): int(c) for i, c in enumerate(counts) if c}
     return CountsHistogram(m, shots, hist)
@@ -252,9 +263,9 @@ def sample_settings(
         for kind in gates:
             rotation = channels[1][kind, 0] @ rotation
         m.append(np.einsum("bbij->bij", rotation.reshape(2, 2, 2, 2)))
-    rho = final_density(circuit, noise).reshape((2,) * (2 * n))
+    rho = _density(circuit, noise, channels).reshape((2,) * (2 * n))
     probs = _normalized(qmath.contract_qubits(rho, np.stack(m), n, 2).real.reshape(3 ** n, 2 ** n))
-    return np.stack([_draw(row, shots, noise.readout_flip, seed, i) for i, row in enumerate(probs)])
+    return _draw(_readout(probs, noise.readout_flip), shots, seed, range(3 ** n))
 
 
 def with_basis_change(circuit: Circuit, setting: str) -> Circuit:

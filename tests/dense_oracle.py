@@ -4,8 +4,9 @@ Every gate here is a full 2^n x 2^n matrix, depolarizing conjugates rho by all
 4^k Pauli strings on the touched qubits, tomography re-simulates the circuit
 once per setting and estimates each coefficient with a loop over outcome
 strings.  This is slow and obviously correct; the package's tensor kernels
-and batched tomography must agree with it.  Nothing under ``src/`` imports
-this module.
+and batched tomography must agree with it.  ``sample_per_shot`` draws the
+same law shot by shot, so the law tests can check both draws.  Nothing under
+``src/`` imports this module.
 """
 from __future__ import annotations
 
@@ -89,7 +90,7 @@ def _measured_probs(rho: np.ndarray, measured: tuple[int, ...], n: int) -> np.nd
     return probs / probs.sum()
 
 
-def exact_distribution(circuit: Circuit, noise: NoiseModel = IDEAL) -> dict[str, float]:
+def _post_readout(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     measured = tuple(sorted(circuit.measured))
     m = len(measured)
     probs = _measured_probs(final_density(circuit, noise), measured, circuit.n_qubits)
@@ -98,24 +99,46 @@ def exact_distribution(circuit: Circuit, noise: NoiseModel = IDEAL) -> dict[str,
         for axis in range(m):
             t = (1.0 - noise.readout_flip) * t + noise.readout_flip * np.flip(t, axis=axis)
         probs = t.reshape(-1)
-    return {format(i, f"0{m}b"): float(p) for i, p in enumerate(probs)}
+    return probs
+
+
+def exact_distribution(circuit: Circuit, noise: NoiseModel = IDEAL) -> dict[str, float]:
+    m = len(circuit.measured)
+    return {format(i, f"0{m}b"): float(p) for i, p in enumerate(_post_readout(circuit, noise))}
+
+
+def _histogram(counts: np.ndarray, shots: int) -> CountsHistogram:
+    m = counts.size.bit_length() - 1
+    return CountsHistogram(m, shots, {format(i, f"0{m}b"): int(c) for i, c in enumerate(counts) if c})
+
+
+def _rng(seed: int, stream: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=[seed & _MASK64, stream & _MASK64]))
 
 
 def sample(circuit: Circuit, shots: int, noise: NoiseModel = IDEAL, seed: int = 0,
            stream: int = 0) -> CountsHistogram:
+    """One multinomial draw from the post-readout law, its CDF rounded to multiples of 2^-32."""
+    cdf = np.round(np.cumsum(_post_readout(circuit, noise)) * 2.0 ** 32) / 2.0 ** 32
+    pvals = np.concatenate(([cdf[0]], cdf[1:] - cdf[:-1]))
+    return _histogram(_rng(seed, stream).multinomial(shots, pvals), shots)
+
+
+def sample_per_shot(circuit: Circuit, shots: int, noise: NoiseModel = IDEAL, seed: int = 0,
+                    stream: int = 0) -> CountsHistogram:
+    """One uniform per shot looked up in the pre-readout CDF, then one per shot and bit for readout flips."""
     measured = tuple(sorted(circuit.measured))
     m = len(measured)
     probs = _measured_probs(final_density(circuit, noise), measured, circuit.n_qubits)
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    rng = np.random.Generator(np.random.Philox(key=[seed & _MASK64, stream & _MASK64]))
-    outcomes = np.searchsorted(cdf, rng.random(shots), side="right").astype(np.int64)
+    rng = _rng(seed, stream)
+    u = rng.random(shots)
+    outcomes = np.zeros(shots, dtype=np.int64)
+    for edge in np.cumsum(probs)[:-1]:
+        outcomes += u >= edge
     if noise.readout_flip > 0.0:
         flips = rng.random((shots, m)) < noise.readout_flip
         outcomes ^= flips.astype(np.int64) @ (1 << np.arange(m - 1, -1, -1, dtype=np.int64))
-    counts = np.bincount(outcomes, minlength=2 ** m)
-    hist = {format(i, f"0{m}b"): int(c) for i, c in enumerate(counts) if c}
-    return CountsHistogram(m, shots, hist)
+    return _histogram(np.bincount(outcomes, minlength=2 ** m), shots)
 
 
 def labels(n: int) -> list[str]:

@@ -241,6 +241,16 @@ class TestBatchedTomography:
                     expected[int(key, 2)] = cnt
                 assert np.array_equal(counts[index], expected), setting
 
+    @given(circuits(max_qubits=4), noise_models, st.integers(0, 2**64 - 1))
+    @settings(deadline=None, max_examples=100)
+    def test_random_settings_equal_per_setting_samples(self, circuit, noise, seed):
+        n = circuit.n_qubits
+        counts = sample_settings(circuit, 8192, noise, seed)
+        for index, setting in enumerate(plan(n).settings):
+            hist = sample(with_basis_change(circuit, setting), 8192, noise, seed, stream=index)
+            expected = [hist.counts.get(format(i, f"0{n}b"), 0) for i in range(2 ** n)]
+            assert counts[index].tolist() == expected, setting
+
     @pytest.mark.parametrize("label,circuit,ideal", STAGES[::5], ids=[s[0] for s in STAGES[::5]])
     def test_report_equals_dense_per_setting_run(self, label, circuit, ideal):
         new = run_tomography(circuit, ideal, 8192, NOISE, seed=3)

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import belldisc.sampler
+import dense_oracle as oracle
 from belldisc import qmath
-from belldisc.circuit import BellKind, Circuit, bell_prep, simulate
+from belldisc.circuit import BellKind, Circuit, bell_prep, parity_check, simulate
 from belldisc.errors import (
     DimensionMismatch,
     IdentityInSetting,
@@ -23,6 +25,7 @@ from belldisc.sampler import (
     exact_distribution,
     final_density,
     sample,
+    sample_settings,
     with_basis_change,
 )
 from conftest import circuits, noise_models, random_circuit
@@ -80,6 +83,18 @@ class TestCountsHistogram:
             CountsHistogram(1, shots, counts)
         with pytest.raises(ZeroShots):
             CountsHistogram.from_json(json.dumps({"n_bits": 1, "shots": shots, "counts": counts}))
+
+
+    @pytest.mark.parametrize("n_bits", [True, 1.9, 0])
+    def test_rejects_bits_that_are_not_positive_integers(self, n_bits):
+        with pytest.raises(DimensionMismatch):
+            CountsHistogram(n_bits, 1, {"1": 1})
+        with pytest.raises(DimensionMismatch):
+            CountsHistogram.from_json(json.dumps({"n_bits": n_bits, "shots": 1, "counts": {"1": 1}}))
+
+    def test_numpy_integer_bits(self):
+        h = CountsHistogram(np.int64(2), 3, {"01": 3})
+        assert type(h.n_bits) is int and h == CountsHistogram(2, 3, {"01": 3})
 
 
 class TestIdealSampling:
@@ -156,13 +171,73 @@ class TestExactDistribution:
     @given(circuits(), noise_models, st.data(), st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=60)
     def test_samples_within_total_variation_of_exact(self, c, noise, data, seed):
-        # E[TV] <= 0.5 sqrt(2^m / shots) by Cauchy-Schwarz; by McDiarmid the
-        # TV exceeds its mean by 0.04 with probability exp(-2 shots 0.04^2) ~ 4e-12
+        _assert_within_total_variation(sample, c, noise, data, seed)
+
+    @given(circuits(), noise_models, st.data(), st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=60)
+    def test_per_shot_draw_within_total_variation_of_exact(self, c, noise, data, seed):
+        _assert_within_total_variation(oracle.sample_per_shot, c, noise, data, seed)
+
+
+def _assert_within_total_variation(draw, c, noise, data, seed) -> None:
+    # E[TV] <= 0.5 sqrt(2^m / shots) by Cauchy-Schwarz; by McDiarmid the
+    # TV exceeds its mean by 0.04 with probability exp(-2 shots 0.04^2) ~ 4e-12
+    c = c.measure(*data.draw(st.sets(st.integers(0, c.n_qubits - 1), min_size=1)))
+    shots, m = 8192, len(c.measured)
+    hist = draw(c, shots, noise, seed)
+    tv = 0.5 * sum(abs(hist.probability(k) - p) for k, p in exact_distribution(c, noise).items())
+    assert tv <= 0.5 * np.sqrt(2 ** m / shots) + 0.04
+
+
+class TestCdfGrid:
+    """Each draw rounds its CDF to multiples of 2^-32 before the multinomial."""
+
+    @given(circuits(), noise_models, st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_drawn_law_within_grid_of_exact(self, c, noise, data):
         c = c.measure(*data.draw(st.sets(st.integers(0, c.n_qubits - 1), min_size=1)))
-        shots, m = 8192, len(c.measured)
-        hist = sample(c, shots, noise, seed)
-        tv = 0.5 * sum(abs(hist.probability(k) - p) for k, p in exact_distribution(c, noise).items())
-        assert tv <= 0.5 * np.sqrt(2 ** m / shots) + 0.04
+        on_grid, drawn = belldisc.sampler._on_grid, []
+
+        def spy(probs):
+            drawn.append(on_grid(probs))
+            return drawn[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(belldisc.sampler, "_on_grid", spy)
+            sample(c, 64, noise, seed=1)
+        (law,) = drawn[0]
+        exact = np.array(list(exact_distribution(c, noise).values()))
+        assert np.abs(law - exact).max() <= 2.0 ** -32
+        assert np.array_equal(np.rint(law * 2.0 ** 32), law * 2.0 ** 32) and law.sum() == 1.0
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.0, 0.0, 0.5], [0.25] * 4, [0.25, 0.375, 0.375], [0.125] * 8])
+    def test_round_off_does_not_change_the_counts(self, probs):
+        # numpy's binomial switches branch when its ratio passes 0.5, so
+        # without the grid a one-ulp move changes the counts
+        p = np.array(probs)
+        for ulps in (1, 3):
+            for i, j in ((0, -1), (-1, 0), (1, 2)):
+                q = p.copy()
+                for _ in range(ulps):
+                    q[i], q[j] = np.nextafter(q[i], 1.0), np.nextafter(q[j], 0.0)
+                for seed in range(5):
+                    a, b = belldisc.sampler._draw(np.stack([p, q]), 8192, seed, [seed, seed])
+                    assert np.array_equal(a, b), (ulps, i, j, seed)
+
+
+class TestSampleSettings:
+    def test_builds_channels_once(self):
+        channels, calls = belldisc.sampler._channels, []
+
+        def counting(noise):
+            calls.append(noise)
+            return channels(noise)
+
+        c = bell_prep(BellKind.PSI_PLUS).extend(parity_check())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(belldisc.sampler, "_channels", counting)
+            sample_settings(c, 64, NoiseModel(0.02, 0.05, 0.02))
+        assert len(calls) == 1
 
 
 class TestDepolarizing:
