@@ -302,10 +302,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     try:
         return args.func(args)
-    except BelldiscError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (BelldiscError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -31,21 +31,6 @@ HERMITICITY_TOL = 2e-3
 FIDELITY_TOL = 5e-4
 DEVIATION_TOL = 2e-3
 
-EMBEDDED_LABELS: tuple[str, ...] = (
-    "psi_plus_0.prep",
-    "psi_minus_0.prep",
-    "phi_plus_0.prep",
-    "phi_minus_0.prep",
-    "psi_plus_0.phase",
-    "psi_minus_1.phase",
-    "phi_plus_0.phase",
-    "phi_minus_1.phase",
-    "psi_plus_0.parity",
-    "psi_minus_0.parity",
-    "phi_plus_1.parity",
-    "phi_minus_1.parity",
-)
-
 PUBLISHED_FIDELITY: dict[str, float] = {
     "psi_plus_0.prep": 0.8890,
     "psi_minus_0.prep": 0.8994,
@@ -60,6 +45,7 @@ PUBLISHED_FIDELITY: dict[str, float] = {
     "phi_plus_1.parity": 0.7224,
     "phi_minus_1.parity": 0.7576,
 }
+EMBEDDED_LABELS: tuple[str, ...] = tuple(PUBLISHED_FIDELITY)
 
 # (average, maximum) entrywise deviation, published for the prepared pairs
 PUBLISHED_DEVIATION: dict[str, tuple[float, float]] = {
@@ -69,12 +55,7 @@ PUBLISHED_DEVIATION: dict[str, tuple[float, float]] = {
     "phi_minus_0.prep": (0.020, 0.118),
 }
 
-_BELL_TOKENS = {
-    "psi_plus": BellKind.PSI_PLUS,
-    "psi_minus": BellKind.PSI_MINUS,
-    "phi_plus": BellKind.PHI_PLUS,
-    "phi_minus": BellKind.PHI_MINUS,
-}
+_BELL_TOKENS = {kind.name.lower(): kind for kind in BellKind}
 
 
 def ideal_state(token: str) -> np.ndarray:
@@ -99,10 +80,17 @@ class LabeledMatrix:
         return ideal_state(self.ideal)
 
 
+def matrix_parts(matrix: np.ndarray) -> dict:
+    """The ``re`` and ``im`` lists of the dataset's file format, 6 printed decimals."""
+    m = np.asarray(matrix, dtype=complex)
+    parts = (("re", m.real), ("im", m.imag))
+    return {key: [[round(float(v), 6) for v in row] for row in part.tolist()] for key, part in parts}
+
+
 def matrix_json_dict(
     label: str, ideal: str, matrix: np.ndarray, stage: str = "", source: str = ""
 ) -> dict:
-    """Serialize a matrix in the dataset's file format, 6 printed decimals."""
+    """Serialize a matrix in the dataset's file format."""
     m = np.asarray(matrix, dtype=complex)
     return {
         "label": label,
@@ -110,8 +98,7 @@ def matrix_json_dict(
         "stage": stage,
         "source": source,
         "max_asymmetry": float(np.abs(m - m.conj().T).max()),
-        "re": [[round(float(v), 6) for v in row] for row in m.real.tolist()],
-        "im": [[round(float(v), 6) for v in row] for row in m.imag.tolist()],
+        **matrix_parts(m),
     }
 
 

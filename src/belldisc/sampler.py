@@ -165,15 +165,11 @@ def final_density(circuit: Circuit, noise: NoiseModel = IDEAL) -> np.ndarray:
 
     If no gate carries depolarizing noise, it is |psi><psi| of a 2^n state vector.
     """
-    return _density(circuit, noise)
-
-
-def _density(circuit: Circuit, noise: NoiseModel, channels: dict | None = None) -> np.ndarray:
     if not any(_depolarizing(noise, g.kind) for g in circuit.gates):
         return qmath.projector(simulate(circuit))
     n = circuit.n_qubits
     rho = qmath.projector(qmath.ket("0" * n)).reshape((2,) * (2 * n))
-    for qubits, m in fuse(circuit.gates, _channels(noise) if channels is None else channels):
+    for qubits, m in fuse(circuit.gates, _channels(noise)):
         rho = apply_matrix(rho, m, [a for q in qubits for a in (q, n + q)])
     return rho.reshape(2 ** n, 2 ** n)
 
@@ -252,18 +248,20 @@ def sample_settings(
 
     Row i equals ``sample(with_basis_change(circuit, setting_i), ..., stream=i)``:
     the noisy rotation of each qubit acts on it alone, so each qubit of rho is
-    contracted with M[s, b, i, j] = <b| E_s(|i><j|) |b>.
+    contracted with M[s, b, i, j] = <b| E_s(|i><j|) |b>.  Basis s rotates by U_s
+    through g_s gates (0 for Z, 1 for X, 2 for Y), each depolarized by p = per_gate_depolarizing:
+    M[s, b, i, j] = k U_s[b, i] conj(U_s[b, j]) + (1 - k) delta_ij / 2, k = (1 - p)^g_s.
     """
     shots = _check_shots(shots)
     n = circuit.n_qubits
-    channels = _channels(noise)
     m = []
     for gates in _BASIS_CHANGE.values():
-        rotation = np.eye(4)
+        u = np.eye(2)
         for kind in gates:
-            rotation = channels[1][kind, 0] @ rotation
-        m.append(np.einsum("bbij->bij", rotation.reshape(2, 2, 2, 2)))
-    rho = _density(circuit, noise, channels).reshape((2,) * (2 * n))
+            u = GATE_MATRICES[kind] @ u
+        k = (1.0 - noise.per_gate_depolarizing) ** len(gates)
+        m.append(k * np.einsum("bi,bj->bij", u, u.conj()) + (1.0 - k) * np.eye(2) / 2)
+    rho = final_density(circuit, noise).reshape((2,) * (2 * n))
     probs = _normalized(qmath.contract_qubits(rho, np.stack(m), n, 2).real.reshape(3 ** n, 2 ** n))
     return _draw(_readout(probs, noise.readout_flip), shots, seed, range(3 ** n))
 

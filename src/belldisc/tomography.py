@@ -36,6 +36,7 @@ from .errors import (
     MissingSetting,
     TooManyQubits,
 )
+from .refdata import matrix_parts
 from .sampler import IDEAL, CountsHistogram, NoiseModel, sample_settings
 
 MAX_TOMOGRAPHY_QUBITS = 4
@@ -157,12 +158,6 @@ class TomographyReport:
     seed: int
 
     def to_json_dict(self, label: str = "", ideal: str = "") -> dict:
-        def parts(m: np.ndarray) -> dict:
-            return {
-                "re": [[round(float(v), 6) for v in row] for row in m.real.tolist()],
-                "im": [[round(float(v), 6) for v in row] for row in m.imag.tolist()],
-            }
-
         return {
             "label": label,
             "ideal": ideal,
@@ -176,8 +171,8 @@ class TomographyReport:
                 "average": round(self.deviation.average, 6),
                 "maximum": round(self.deviation.maximum, 6),
             },
-            "raw": parts(self.raw),
-            "physical": parts(self.physical),
+            "raw": matrix_parts(self.raw),
+            "physical": matrix_parts(self.physical),
         }
 
     def to_json(self, label: str = "", ideal: str = "") -> str:

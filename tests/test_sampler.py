@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import belldisc.sampler
 import dense_oracle as oracle
 from belldisc import qmath
-from belldisc.circuit import BellKind, Circuit, bell_prep, parity_check, simulate
+from belldisc.circuit import BellKind, Circuit, Gate, bell_prep, parity_check, simulate
 from belldisc.errors import (
     DimensionMismatch,
     IdentityInSetting,
@@ -28,6 +28,7 @@ from belldisc.sampler import (
     sample_settings,
     with_basis_change,
 )
+from belldisc.tomography import plan
 from conftest import circuits, noise_models, random_circuit
 
 
@@ -210,6 +211,23 @@ class TestCdfGrid:
         assert np.abs(law - exact).max() <= 2.0 ** -32
         assert np.array_equal(np.rint(law * 2.0 ** 32), law * 2.0 ** 32) and law.sum() == 1.0
 
+    @given(circuits(max_qubits=4), noise_models)
+    @settings(deadline=None, max_examples=200)
+    def test_settings_draw_the_law_of_each_basis_change(self, c, noise):
+        on_grid, drawn = belldisc.sampler._on_grid, []
+
+        def spy(probs):
+            drawn.append(probs)
+            return on_grid(probs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(belldisc.sampler, "_on_grid", spy)
+            sample_settings(c, 64, noise, seed=1)
+        (laws,) = drawn
+        for law, setting in zip(laws, plan(c.n_qubits).settings, strict=True):
+            exact = np.array(list(exact_distribution(with_basis_change(c, setting), noise).values()))
+            assert np.abs(law - exact).max() <= 1e-12, setting
+
     @pytest.mark.parametrize("probs", [[0.5, 0.0, 0.0, 0.5], [0.25] * 4, [0.25, 0.375, 0.375], [0.125] * 8])
     def test_round_off_does_not_change_the_counts(self, probs):
         # numpy's binomial switches branch when its ratio passes 0.5, so
@@ -238,6 +256,28 @@ class TestSampleSettings:
             mp.setattr(belldisc.sampler, "_channels", counting)
             sample_settings(c, 64, NoiseModel(0.02, 0.05, 0.02))
         assert len(calls) == 1
+
+
+class TestRelabelling:
+    """Renaming the qubits permutes the axes of the density and the bits of the outcomes."""
+
+    @given(circuits(max_qubits=4), noise_models, st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_covariant_under_qubit_permutation(self, c, noise, data):
+        n = c.n_qubits
+        perm = data.draw(st.permutations(range(n)))
+        relabelled = Circuit(n, tuple(
+            Gate(g.kind, perm[g.target], None if g.control is None else perm[g.control]) for g in c.gates
+        ))
+        # new qubit perm[q] is old qubit q, so new axis a is old axis axes[a]
+        axes = [int(a) for a in np.argsort(perm)]
+        rho = final_density(c, noise).reshape((2,) * (2 * n))
+        expected = rho.transpose(axes + [n + a for a in axes]).reshape(2 ** n, 2 ** n)
+        assert np.abs(final_density(relabelled, noise) - expected).max() <= 1e-12
+        dist = exact_distribution(c.measure(*range(n)), noise)
+        moved = exact_distribution(relabelled.measure(*range(n)), noise)
+        for key, p in dist.items():
+            assert abs(moved["".join(key[a] for a in axes)] - p) <= 1e-12, key
 
 
 class TestDepolarizing:
