@@ -141,10 +141,10 @@ class Circuit:
 # -- simulation --
 
 def apply_matrix(t: np.ndarray, u: np.ndarray, axes) -> np.ndarray:
-    """The simulation kernel: multiply ``u`` into the given axes of a (2,)*k tensor.
+    """The simulation kernel: multiply ``u`` into the given axes of a tensor.
 
-    A state is (2,)*n and an operator (2,)*2n, rows first; ``u`` acts on the
-    2^len(axes) index those axes form, the first axis most significant.
+    ``u`` acts on the index those axes form, the first axis most significant;
+    the other axes are carried along.
     """
     order = list(axes)
     order += [a for a in range(t.ndim) if a not in order]
@@ -169,10 +169,11 @@ def lift(matrices: dict[str, np.ndarray]) -> dict[int, dict[tuple, np.ndarray]]:
 _UNITARIES = lift(GATE_MATRICES)
 
 
-def fuse(gates, lifted: dict[int, dict[tuple, np.ndarray]]) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """Split gates into maximal runs on at most two qubits, each multiplied into one matrix.
+def evolve(t: np.ndarray, gates, lifted: dict[int, dict[tuple, np.ndarray]]) -> np.ndarray:
+    """Apply ``gates`` to the leading axes of ``t``, axis q being qubit q; further axes are carried along.
 
-    Returns ``(qubits, product)`` per run, each gate's matrix taken from ``lifted``.
+    The gates are split into maximal runs on at most two qubits, and each run's
+    product of ``lifted`` matrices is one :func:`apply_matrix` call.
     """
     runs, qubits = [], []
     for g in gates:
@@ -183,25 +184,17 @@ def fuse(gates, lifted: dict[int, dict[tuple, np.ndarray]]) -> list[tuple[tuple[
         else:
             qubits, members = list(g.qubits), [g]
             runs.append((qubits, members))
-    fused = []
     for qubits, members in runs:
         table = lifted[len(qubits)]
         product = table[members[0].kind, members[0].qubits[0] != qubits[0]]
         for g in members[1:]:
             product = table[g.kind, g.qubits[0] != qubits[0]].dot(product)
-        fused.append((tuple(qubits), product))
-    return fused
-
-
-def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
-    """Full 2^n x 2^n unitary of a single gate (read-only)."""
-    u = unitary_of(Circuit(n_qubits, (gate,)))
-    u.setflags(write=False)
-    return u
+        t = apply_matrix(t, product, qubits)
+    return t
 
 
 def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
-    """Final state vector, one kernel call per fused run; measurement markers are ignored."""
+    """Final state vector, evolved as a (2,)*n tensor; measurement markers are ignored."""
     dim = 2 ** circuit.n_qubits
     if initial is None:
         state = qmath.ket("0" * circuit.n_qubits)
@@ -209,20 +202,15 @@ def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
         state = np.array(initial, dtype=complex).reshape(-1)
         if state.shape[0] != dim:
             raise DimensionMismatch(f"initial state has dim {state.shape[0]}, circuit needs {dim}")
-    state = state.reshape((2,) * circuit.n_qubits)
-    for qubits, u in fuse(circuit.gates, _UNITARIES):
-        state = apply_matrix(state, u, qubits)
-    return state.reshape(-1)
+    return evolve(state.reshape((2,) * circuit.n_qubits), circuit.gates, _UNITARIES).reshape(-1)
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
-    """Full unitary of a measurement-free circuit, one kernel call per fused run."""
+    """Full unitary of a measurement-free circuit: the identity evolved, its column axes carried along."""
     if circuit.measured:
         raise HasMeasurements("circuit has measurement markers")
     n = circuit.n_qubits
-    u = np.eye(2 ** n, dtype=complex).reshape((2,) * (2 * n))
-    for qubits, m in fuse(circuit.gates, _UNITARIES):
-        u = apply_matrix(u, m, qubits)
+    u = evolve(np.eye(2 ** n, dtype=complex).reshape((2,) * (2 * n)), circuit.gates, _UNITARIES)
     return u.reshape(2 ** n, 2 ** n)
 
 

@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, sampling: bool) -> None:
+    def add_common(p: argparse.ArgumentParser, sampling: bool, formats: bool) -> None:
         if sampling:
             p.add_argument("--shots", type=int, default=8192, help="samples per histogram")
             p.add_argument("--noise", type=parse_noise_flag, default=IDEAL,
@@ -266,27 +266,28 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=None,
                            help="root seed (default: $BELLDISC_SEED or 0)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        if formats:
+            p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p_disc = sub.add_parser("discriminate", help="run both check circuits and histogram the outcomes")
     p_disc.add_argument("--bell", required=True, choices=BELL_TOKENS)
-    add_common(p_disc, sampling=True)
+    add_common(p_disc, sampling=True, formats=True)
     p_disc.set_defaults(func=cmd_discriminate)
 
     p_tomo = sub.add_parser("tomo", help="full tomography of one experiment stage")
     p_tomo.add_argument("--bell", required=True, choices=BELL_TOKENS)
     p_tomo.add_argument("--stage", choices=STAGES, default="prep")
-    add_common(p_tomo, sampling=True)
+    add_common(p_tomo, sampling=True, formats=False)
     p_tomo.set_defaults(func=cmd_tomo)
 
     p_rep = sub.add_parser("reproduce", help="regression of the embedded dataset metrics")
-    add_common(p_rep, sampling=False)
+    add_common(p_rep, sampling=False, formats=True)
     p_rep.set_defaults(func=cmd_reproduce)
 
     p_tr = sub.add_parser("transpile", help="route a circuit file onto a coupling map")
     p_tr.add_argument("--circuit", required=True, help="circuit text file")
     p_tr.add_argument("--map", default=None, help="coupling map JSON (default: 5-qubit star)")
-    add_common(p_tr, sampling=False)
+    add_common(p_tr, sampling=False, formats=False)
     p_tr.set_defaults(func=cmd_transpile)
     return parser
 

@@ -10,10 +10,11 @@ strength ``p`` is the full-replacement probability,
 equivalent to each of the 4^k - 1 non-identity Pauli errors occurring with
 probability p / 4^k, so p = 1 leaves the touched qubits maximally mixed.
 
-rho is a (2,)*2n tensor.  Each maximal run of gates on at most two qubits,
-with their channels, is one matrix applied to its qubits' row and column axes
-(:func:`belldisc.circuit.fuse`, then ``apply_matrix``).  A circuit whose gates
-carry no depolarizing noise is evolved as a 2^n state vector.  Readout flips
+rho is evolved as a (4,)*n tensor, one (row, column) axis per qubit, by
+:func:`belldisc.circuit.evolve`: each maximal run of gates on at most two
+qubits, with their channels, is one matrix applied to its qubits' axes.  A
+circuit whose gates carry no depolarizing noise is evolved as a 2^n state
+vector.  Seeds and streams are taken modulo 2^64.  Readout flips
 are folded into the probabilities: ``exact_distribution`` is the post-readout
 law, and ``sample`` draws it in one multinomial draw keyed by ``(seed,
 stream)``, its CDF rounded to multiples of 2^-32 so that laws differing only
@@ -29,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from . import qmath
-from .circuit import GATE_MATRICES, Circuit, Gate, apply_matrix, fuse, lift, simulate
+from .circuit import GATE_MATRICES, Circuit, Gate, evolve, lift, simulate
 from .errors import (
     DimensionMismatch,
     IdentityInSetting,
@@ -161,17 +162,17 @@ def _channels(noise: NoiseModel) -> dict[int, dict[tuple, np.ndarray]]:
 
 
 def final_density(circuit: Circuit, noise: NoiseModel = IDEAL) -> np.ndarray:
-    """Density matrix after the gates and their noise channels, one kernel call per fused run.
+    """Density matrix after the gates and their noise channels.
 
-    If no gate carries depolarizing noise, it is |psi><psi| of a 2^n state vector.
+    Without depolarizing noise it is |psi><psi| of a 2^n state vector; otherwise rho
+    is evolved as (4,)*n, axis q the (row, column) pair of qubit q, and made rows first on return.
     """
     if not any(_depolarizing(noise, g.kind) for g in circuit.gates):
         return qmath.projector(simulate(circuit))
     n = circuit.n_qubits
-    rho = qmath.projector(qmath.ket("0" * n)).reshape((2,) * (2 * n))
-    for qubits, m in fuse(circuit.gates, _channels(noise)):
-        rho = apply_matrix(rho, m, [a for q in qubits for a in (q, n + q)])
-    return rho.reshape(2 ** n, 2 ** n)
+    rho = evolve(qmath.ket("00" * n).reshape((4,) * n), circuit.gates, _channels(noise))  # from |0..0><0..0|
+    rows_first = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return rho.reshape((2,) * (2 * n)).transpose(rows_first).reshape(2 ** n, 2 ** n)
 
 
 def _normalized(probs: np.ndarray) -> np.ndarray:
@@ -217,9 +218,9 @@ def _on_grid(probs: np.ndarray) -> np.ndarray:
 
 
 def _draw(probs: np.ndarray, shots: int, seed: int, streams) -> np.ndarray:
-    """Counts (rows, 2^m) of ``shots`` draws from each row of ``probs``, row i keyed by (seed, streams[i])."""
+    """Counts (rows, 2^m) of ``shots`` draws from each row of ``probs``, keyed by (seed, streams[i]) mod 2^64."""
     return np.stack([
-        np.random.Generator(np.random.Philox(key=[seed & _MASK64, stream & _MASK64])).multinomial(shots, row)
+        np.random.Generator(np.random.Philox(key=seed & _MASK64 | (stream & _MASK64) << 64)).multinomial(shots, row)
         for stream, row in zip(streams, _on_grid(probs))
     ])
 

@@ -57,7 +57,11 @@ class CouplingMap:
     @classmethod
     def from_json_dict(cls, data: dict) -> "CouplingMap":
         try:
-            return cls(int(data["n_physical"]), frozenset(tuple(p) for p in data["allowed"]))
+            n, pairs = data["n_physical"], [tuple(p) for p in data["allowed"]]
+            for q in (n, *(q for pair in pairs for q in pair)):
+                if isinstance(q, bool) or not isinstance(q, int):
+                    raise ValueError(f"qubit count or index {q!r} is not an integer")
+            return cls(n, frozenset(pairs))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad coupling map payload: {exc}") from exc
 

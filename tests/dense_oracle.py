@@ -113,7 +113,7 @@ def _histogram(counts: np.ndarray, shots: int) -> CountsHistogram:
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & _MASK64, stream & _MASK64]))
+    return np.random.Generator(np.random.Philox(key=seed & _MASK64 | (stream & _MASK64) << 64))
 
 
 def sample(circuit: Circuit, shots: int, noise: NoiseModel = IDEAL, seed: int = 0,

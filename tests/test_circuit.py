@@ -19,7 +19,6 @@ from belldisc.circuit import (
     discrimination_circuit,
     equivalent_up_to_phase,
     format_circuit,
-    gate_unitary,
     parity_check,
     parse_circuit,
     phase_check,
@@ -56,6 +55,14 @@ class TestGateAndCircuitValidation:
     def test_single_qubit_gate_rejects_control(self):
         with pytest.raises(ValueError):
             Gate("H", 1, control=0)
+
+    def test_negative_qubit_index(self):
+        with pytest.raises(BadQubitIndex):
+            Gate("H", -1)
+
+    def test_empty_register(self):
+        with pytest.raises(BadQubitIndex):
+            Circuit(0)
 
     def test_gate_outside_register(self):
         with pytest.raises(BadQubitIndex):
@@ -175,11 +182,6 @@ class TestSimulation:
     def test_unitary_of_rejects_measured(self):
         with pytest.raises(HasMeasurements):
             unitary_of(Circuit(1).h(0).measure(0))
-
-    def test_gate_unitary_is_read_only(self):
-        u = gate_unitary(Gate("H", 0), 2)
-        with pytest.raises(ValueError):
-            u[0, 0] = 5.0
 
 
 class TestEquivalentUpToPhase:
@@ -320,6 +322,8 @@ class TestTextFormat:
             parse_circuit("")
         with pytest.raises(ParseError):
             parse_circuit("H -1")
+        with pytest.raises(ParseError):
+            parse_circuit("H 0 1")
 
     def test_gate_after_meas_rejected(self):
         with pytest.raises(HasMeasurementsBeforeEnd):

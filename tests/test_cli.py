@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -164,6 +165,38 @@ class TestTomo:
         )
         assert rc == 0
         assert (tmp_path / "tomo_phi_minus_1_parity.report.json").exists()
+
+    def test_phase_stage_uses_phase_bit_token(self, tmp_path, capsys):
+        rc = main(
+            ["tomo", "--bell", "psi-", "--stage", "phase", "--shots", "64",
+             "--seed", "2", "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        assert "tomography psi_minus_1.phase" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"tomo_psi_minus_1_phase.{suffix}" for suffix in ("matrix.json", "report.json", "rho_real.csv")
+        ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["tomo", "--bell", "psi+", "--shots", "16"],
+    ["transpile", "--circuit", "c.txt"],
+])
+def test_format_only_where_it_is_read(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+def test_failed_rename_removes_temp_file(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["reproduce", "--format", "csv", "--out", str(tmp_path / "out")]) == 1
+    assert "rename refused" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestReproduce:

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import belldisc.circuit
-import belldisc.sampler
 import dense_oracle as oracle
 from belldisc import qmath
 from belldisc.circuit import (
@@ -126,7 +125,6 @@ class TestKernelCalls:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(belldisc.circuit, "apply_matrix", counting)
-            mp.setattr(belldisc.sampler, "apply_matrix", counting)
             run()
         return len(axes_seen)
 

@@ -172,6 +172,12 @@ class TestPurity:
         with pytest.raises(NotHermitian):
             qmath.purity(bad)
 
+    def test_rejects_imaginary_trace_residue(self):
+        # asymmetry 8e-7 passes the 1e-6 Hermiticity check, but Im Tr(rho^2) = 1.6e-3
+        bad = (1000 + 4e-7j) * np.eye(2)
+        with pytest.raises(NotHermitian, match="imaginary residue"):
+            qmath.purity(bad)
+
     def test_loosened_tolerance(self):
         near = np.eye(2, dtype=complex) / 2
         near[0, 1] = 5e-4
@@ -234,6 +240,10 @@ class TestMakePhysical:
         with pytest.raises(GrosslyNonHermitian):
             qmath.make_physical(bad)
 
+    def test_rejects_negative_definite(self):
+        with pytest.raises(StronglyNonPositive):
+            qmath.make_physical(-np.eye(4))
+
 
 class TestPartialTrace:
     def test_product_state(self):
@@ -254,3 +264,7 @@ class TestPartialTrace:
     def test_bad_keep(self):
         with pytest.raises(DimensionMismatch):
             qmath.partial_trace(np.eye(4) / 4, keep=[5])
+
+    def test_wrong_qubit_count(self):
+        with pytest.raises(DimensionMismatch):
+            qmath.partial_trace(np.eye(4) / 4, keep=[0], n_qubits=3)

@@ -140,6 +140,23 @@ class TestIdealSampling:
         assert sample(c, 4096, seed=43) != base
         assert sample(c, 4096, seed=42, stream=1) != base
 
+    @pytest.mark.parametrize("seed", [0, 2**63 - 1, 2**63 + 1, 2**64 - 1, -1, -2])
+    def test_philox_key_is_seed_and_stream_modulo_2_64(self, seed, monkeypatch):
+        keys, philox = [], np.random.Philox
+
+        def spy(*args, **kwargs):
+            bit_generator = philox(*args, **kwargs)
+            keys.append(bit_generator.state["state"]["key"].tolist())
+            return bit_generator
+
+        monkeypatch.setattr(np.random, "Philox", spy)
+        sample(bell_prep(BellKind.PSI_PLUS).measure(0, 1, 2), 64, seed=seed, stream=5)
+        assert keys == [[seed % 2**64, 5]]
+
+    def test_negative_seed_is_not_seed_zero(self):
+        c = bell_prep(BellKind.PSI_PLUS).measure(0, 1, 2)
+        assert sample(c, 4096, seed=-1) != sample(c, 4096, seed=0)
+
     def test_empirical_matches_exact_within_3_sigma(self):
         c = bell_prep(BellKind.PHI_MINUS).measure(0, 1, 2)
         shots = 8192

@@ -62,6 +62,22 @@ class TestCouplingMap:
         with pytest.raises(ParseError):
             CouplingMap.load(path)
 
+    @pytest.mark.parametrize("payload", [
+        {"n_physical": True, "allowed": []},
+        {"n_physical": 5.9, "allowed": [[0, 2]]},
+        {"n_physical": "5", "allowed": [[0, 2]]},
+        {"n_physical": 5, "allowed": [[0.7, 2]]},
+        {"n_physical": 5, "allowed": [[0, True]]},
+        {"n_physical": 5, "allowed": [["0", 2]]},
+    ])
+    def test_rejects_non_integer_indices(self, payload, tmp_path):
+        with pytest.raises(ParseError):
+            CouplingMap.from_json_dict(payload)
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError):
+            CouplingMap.load(path)
+
 
 class TestRewriteRules:
     def test_allowed_cnot_kept(self):
