@@ -14,17 +14,19 @@ rho is evolved as a (4,)*n tensor, one (row, column) axis per qubit, by
 :func:`belldisc.circuit.evolve`: each maximal run of gates on at most two
 qubits, with their channels, is one matrix applied to its qubits' axes.  A
 circuit whose gates carry no depolarizing noise is evolved as a 2^n state
-vector.  Seeds and streams are taken modulo 2^64.  Readout flips
+vector.  Seeds and streams are integers taken modulo 2^64.  Readout flips
 are folded into the probabilities: ``exact_distribution`` is the post-readout
 law, and ``sample`` draws it in one multinomial draw keyed by ``(seed,
 stream)``, its CDF rounded to multiples of 2^-32 so that laws differing only
 by round-off draw the same counts.  ``sample_settings`` draws all Pauli
-settings of a tomography from one evolution, count for count as ``sample``.
+settings of a tomography from one evolution, count for count as ``sample``,
+re-keying one Philox bit generator for each setting's stream.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Mapping
 
 import numpy as np
@@ -76,7 +78,7 @@ class CountsHistogram:
     counts: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not _is_positive_int(self.n_bits):
+        if not _is_int(self.n_bits) or self.n_bits < 1:
             raise DimensionMismatch(f"histogram needs a positive integer number of bits, got {self.n_bits!r}")
         object.__setattr__(self, "n_bits", int(self.n_bits))
         object.__setattr__(self, "shots", _check_shots(self.shots))
@@ -117,12 +119,12 @@ class CountsHistogram:
         return cls.from_json_dict(data)
 
 
-def _is_positive_int(value) -> bool:
-    return not isinstance(value, (bool, np.bool_)) and isinstance(value, (int, np.integer)) and value >= 1
+def _is_int(value) -> bool:
+    return not isinstance(value, (bool, np.bool_)) and isinstance(value, (int, np.integer))
 
 
 def _check_shots(shots) -> int:
-    if not _is_positive_int(shots):
+    if not _is_int(shots) or shots < 1:
         raise ZeroShots(f"shots must be a positive integer, got {shots!r}")
     return int(shots)
 
@@ -193,6 +195,8 @@ def _readout(probs: np.ndarray, r: float) -> np.ndarray:
 
 def _law(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     """Post-readout probabilities of the measured bits."""
+    if not circuit.measured:
+        raise NoMeasurements("circuit has no measured qubits")
     n = circuit.n_qubits
     probs = np.real(np.diag(final_density(circuit, noise))).reshape((2,) * n)
     probs = probs.sum(axis=tuple(q for q in range(n) if q not in circuit.measured))
@@ -201,8 +205,6 @@ def _law(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
 
 def exact_distribution(circuit: Circuit, noise: NoiseModel = IDEAL) -> dict[str, float]:
     """Infinite-shot outcome probabilities over the measured bits."""
-    if not circuit.measured:
-        raise NoMeasurements("circuit has no measured qubits")
     m = len(circuit.measured)
     return {format(i, f"0{m}b"): float(p) for i, p in enumerate(_law(circuit, noise))}
 
@@ -217,29 +219,44 @@ def _on_grid(probs: np.ndarray) -> np.ndarray:
     return np.diff(np.rint(np.cumsum(probs, axis=-1) * _CDF_GRID) / _CDF_GRID, axis=-1, prepend=0.0)
 
 
+def _key(name: str, value) -> int:
+    if not _is_int(value):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value) & _MASK64
+
+
 def _draw(probs: np.ndarray, shots: int, seed: int, streams) -> np.ndarray:
-    """Counts (rows, 2^m) of ``shots`` draws from each row of ``probs``, keyed by (seed, streams[i]) mod 2^64."""
-    return np.stack([
-        np.random.Generator(np.random.Philox(key=seed & _MASK64 | (stream & _MASK64) << 64)).multinomial(shots, row)
-        for stream, row in zip(streams, _on_grid(probs))
-    ])
+    """Counts (rows, 2^m) of ``shots`` draws from each row of ``probs``, keyed by (seed, streams[i]) mod 2^64.
+
+    One Philox is re-keyed for each row, with its counter, buffer and carried uint32 reset,
+    so row i draws exactly what a fresh ``Generator(Philox(key=seed | stream << 64))`` draws.
+    """
+    seed, philox = _key("seed", seed), np.random.Philox(0)  # every field of its state is set before each draw
+    rng, counts = np.random.Generator(philox), []
+    state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0,
+             "uinteger": 0, "state": {"counter": np.zeros(4, np.uint64)}}  # the setter copies, so it stays zero
+    for stream, row in zip(streams, _on_grid(probs)):
+        state["state"]["key"] = np.array([seed, _key("stream", stream)], np.uint64)
+        philox.state = state
+        counts.append(rng.multinomial(shots, row))
+    return np.stack(counts)
 
 
 def sample(
     circuit: Circuit, shots: int, noise: NoiseModel = IDEAL, seed: int = 0, stream: int = 0
 ) -> CountsHistogram:
     """Draw ``shots`` outcomes from the post-readout law of :func:`exact_distribution`, in one draw."""
-    if not circuit.measured:
-        raise NoMeasurements("circuit has no measured qubits")
-    shots = _check_shots(shots)
-    counts = _draw(_law(circuit, noise)[None], shots, seed, [stream])[0]
+    counts = _draw(_law(circuit, noise)[None], _check_shots(shots), seed, [stream])[0]
     m = len(circuit.measured)
-    hist = {format(i, f"0{m}b"): int(c) for i, c in enumerate(counts) if c}
-    return CountsHistogram(m, shots, hist)
+    return CountsHistogram(m, shots, {format(i, f"0{m}b"): int(c) for i, c in enumerate(counts) if c})
 
 
 # Pre-measurement rotations of each basis, applied in this order.
 _BASIS_CHANGE = {"X": ("H",), "Y": ("SDG", "H"), "Z": ()}
+
+# P[s, b, i, j] = U_s[b, i] conj(U_s[b, j]), U_s the product of basis s's rotations: its noise-free measurement.
+_BASIS_PROJECTORS = np.stack([np.einsum("bi,bj->bij", u, u.conj()) for u in (
+    reduce(lambda u, kind: GATE_MATRICES[kind] @ u, gates, np.eye(2)) for gates in _BASIS_CHANGE.values())])
 
 
 def sample_settings(
@@ -255,15 +272,10 @@ def sample_settings(
     """
     shots = _check_shots(shots)
     n = circuit.n_qubits
-    m = []
-    for gates in _BASIS_CHANGE.values():
-        u = np.eye(2)
-        for kind in gates:
-            u = GATE_MATRICES[kind] @ u
-        k = (1.0 - noise.per_gate_depolarizing) ** len(gates)
-        m.append(k * np.einsum("bi,bj->bij", u, u.conj()) + (1.0 - k) * np.eye(2) / 2)
+    k = np.array([(1.0 - noise.per_gate_depolarizing) ** len(g) for g in _BASIS_CHANGE.values()])[:, None, None, None]
+    m = k * _BASIS_PROJECTORS + (1.0 - k) * np.eye(2) / 2
     rho = final_density(circuit, noise).reshape((2,) * (2 * n))
-    probs = _normalized(qmath.contract_qubits(rho, np.stack(m), n, 2).real.reshape(3 ** n, 2 ** n))
+    probs = _normalized(qmath.contract_qubits(rho, m, n, 2).real.reshape(3 ** n, 2 ** n))
     return _draw(_readout(probs, noise.readout_flip), shots, seed, range(3 ** n))
 
 

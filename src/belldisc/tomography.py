@@ -213,5 +213,5 @@ def run_tomography(
         clipped=clipped,
         n_qubits=circuit.n_qubits,
         shots=int(shots),
-        seed=seed,
+        seed=int(seed),
     )

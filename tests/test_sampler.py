@@ -4,13 +4,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import belldisc.sampler
 import dense_oracle as oracle
 from belldisc import qmath
-from belldisc.circuit import BellKind, Circuit, Gate, bell_prep, parity_check, simulate
+from belldisc.circuit import BellKind, Circuit, Gate, bell_prep, combined_check, parity_check, simulate
 from belldisc.errors import (
     DimensionMismatch,
     IdentityInSetting,
@@ -141,17 +141,32 @@ class TestIdealSampling:
         assert sample(c, 4096, seed=42, stream=1) != base
 
     @pytest.mark.parametrize("seed", [0, 2**63 - 1, 2**63 + 1, 2**64 - 1, -1, -2])
-    def test_philox_key_is_seed_and_stream_modulo_2_64(self, seed, monkeypatch):
-        keys, philox = [], np.random.Philox
+    def test_philox_key_is_seed_and_stream_modulo_2_64(self, seed):
+        rng = oracle._rng(seed, 5)
+        assert rng.bit_generator.state["state"]["key"].tolist() == [seed % 2**64, 5]
+        probs = np.full((1, 16), 1 / 16)
+        expected = rng.multinomial(8192, belldisc.sampler._on_grid(probs)[0])
+        assert np.array_equal(belldisc.sampler._draw(probs, 8192, seed, [5])[0], expected)
 
-        def spy(*args, **kwargs):
-            bit_generator = philox(*args, **kwargs)
-            keys.append(bit_generator.state["state"]["key"].tolist())
-            return bit_generator
+    @pytest.mark.parametrize("seed, same", [
+        (np.int64(7), 7), (np.int64(-1), -1), (np.uint32(5), 5), (np.uint64(2**63 + 3), 2**63 + 3),
+    ])
+    def test_numpy_integer_seeds(self, seed, same):
+        prep, noise = bell_prep(BellKind.PSI_PLUS), NoiseModel(0.02, 0.05, 0.02)
+        c = prep.measure(0, 1, 2)
+        assert sample(c, 4096, noise, seed=seed) == sample(c, 4096, noise, seed=same)
+        assert sample(c, 4096, noise, stream=seed) == sample(c, 4096, noise, stream=same)
+        assert np.array_equal(sample_settings(prep, 256, noise, seed=seed), sample_settings(prep, 256, noise, seed=same))
 
-        monkeypatch.setattr(np.random, "Philox", spy)
-        sample(bell_prep(BellKind.PSI_PLUS).measure(0, 1, 2), 64, seed=seed, stream=5)
-        assert keys == [[seed % 2**64, 5]]
+    @pytest.mark.parametrize("bad", [True, np.bool_(True), 7.0, "7", None])
+    def test_rejects_seeds_that_are_not_integers(self, bad):
+        c = bell_prep(BellKind.PSI_PLUS).measure(0, 1, 2)
+        with pytest.raises(TypeError, match="seed"):
+            sample(c, 64, seed=bad)
+        with pytest.raises(TypeError, match="stream"):
+            sample(c, 64, stream=bad)
+        with pytest.raises(TypeError, match="seed"):
+            sample_settings(bell_prep(BellKind.PSI_PLUS), 64, seed=bad)
 
     def test_negative_seed_is_not_seed_zero(self):
         c = bell_prep(BellKind.PSI_PLUS).measure(0, 1, 2)
@@ -260,7 +275,45 @@ class TestCdfGrid:
                     assert np.array_equal(a, b), (ulps, i, j, seed)
 
 
+class TestReusedGenerator:
+    """``_draw`` re-keys one bit generator per row; each row must draw what a fresh one draws."""
+
+    @given(
+        outcomes=st.integers(1, 16),
+        shots=st.integers(1, 2**20),
+        seed=st.integers(-2**65, 2**65),
+        streams=st.lists(st.integers(0, 8) | st.integers(-2**65, 2**65), min_size=1, max_size=8),
+        law=st.integers(0, 2**32 - 1),
+    )
+    @example(outcomes=16, shots=8192, seed=3, streams=[5, 5, 0, 9, 2], law=1)
+    @example(outcomes=3, shots=1, seed=-1, streams=[3, 2, 1, 1, 0], law=2)
+    @settings(deadline=None, max_examples=150)
+    def test_each_row_draws_what_a_fresh_generator_draws(self, outcomes, shots, seed, streams, law):
+        # zero entries skip draws, so rows consume differing amounts of the stream
+        rng = np.random.default_rng(law)
+        weights = rng.integers(0, 3, (len(streams), outcomes)).astype(float)
+        weights[np.arange(len(streams)), rng.integers(outcomes, size=len(streams))] += 1.0
+        probs = weights / weights.sum(axis=1, keepdims=True)
+        drawn = belldisc.sampler._draw(probs, shots, seed, streams)
+        for stream, row, counts in zip(streams, belldisc.sampler._on_grid(probs), drawn, strict=True):
+            assert np.array_equal(counts, oracle._rng(seed, stream).multinomial(shots, row)), stream
+
+
 class TestSampleSettings:
+    def test_builds_one_bit_generator(self):
+        philox, built = np.random.Philox, []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        c = bell_prep(BellKind.PSI_PLUS, n_qubits=4).extend(combined_check())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.random, "Philox", counting)
+            counts = sample_settings(c, 64, NoiseModel(0.02, 0.05, 0.02), seed=3)
+        assert counts.shape == (81, 16)
+        assert len(built) <= 1
+
     def test_builds_channels_once(self):
         channels, calls = belldisc.sampler._channels, []
 

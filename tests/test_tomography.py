@@ -209,6 +209,14 @@ class TestRunTomography:
         assert np.array_equal(a.raw, b.raw)
         assert json.loads(a.to_json())["shots"] == 256
 
+    def test_numpy_integer_seed(self):
+        kind = BellKind.PSI_MINUS
+        a = run_tomography(bell_prep(kind), composite_state(kind, 0), shots=256, seed=np.int64(3))
+        b = run_tomography(bell_prep(kind), composite_state(kind, 0), shots=256, seed=3)
+        assert np.array_equal(a.raw, b.raw)
+        assert type(a.seed) is int
+        assert json.loads(a.to_json())["seed"] == 3
+
     def test_report_serialization(self):
         kind = BellKind.PHI_PLUS
         report = run_tomography(bell_prep(kind), composite_state(kind, 0), shots=256, seed=3)
