@@ -177,18 +177,19 @@ def evolve(t: np.ndarray, gates, lifted: dict[int, dict[tuple, np.ndarray]]) -> 
     """
     runs, qubits = [], []
     for g in gates:
-        new = [q for q in g.qubits if q not in qubits]
+        touched = (g.target,) if g.control is None else (g.control, g.target)
+        new = [q for q in touched if q not in qubits]
         if runs and len(qubits) + len(new) <= 2:
             qubits += new
-            members.append(g)
         else:
-            qubits, members = list(g.qubits), [g]
-            runs.append((qubits, members))
-    for qubits, members in runs:
+            qubits, keys = list(touched), []
+            runs.append((qubits, keys))
+        keys.append((g.kind, touched[0] != qubits[0]))
+    for qubits, keys in runs:
         table = lifted[len(qubits)]
-        product = table[members[0].kind, members[0].qubits[0] != qubits[0]]
-        for g in members[1:]:
-            product = table[g.kind, g.qubits[0] != qubits[0]].dot(product)
+        product = table[keys[0]]
+        for key in keys[1:]:
+            product = table[key].dot(product)
         t = apply_matrix(t, product, qubits)
     return t
 

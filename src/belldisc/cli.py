@@ -93,6 +93,12 @@ def parse_noise_flag(text: str) -> NoiseModel:
     return NoiseModel(**kwargs)
 
 
+def _noise_text(noise: NoiseModel) -> str:
+    """The shortest spec that :func:`parse_noise_flag` reads back as ``noise``: no clause of zeros."""
+    p, r = (noise.per_gate_depolarizing, noise.per_cnot_depolarizing), noise.readout_flip
+    return ",".join([f"depol:{p[0]},{p[1]}"] * any(p) + [f"readout:{r}"] * (r > 0)) or "none"
+
+
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
@@ -138,7 +144,7 @@ def cmd_discriminate(args: argparse.Namespace) -> int:
         hist = sample(circ, args.shots, args.noise, seed, stream=stream)
         title = (
             f"{check} check, bell={kind.value}, shots={args.shots}, "
-            f"seed={seed}, noise={args.noise_text}"
+            f"seed={seed}, noise={_noise_text(args.noise)}"
         )
         print(_probability_table_text(title, hist.counts, hist.shots), end="")
         base = out / f"discriminate_{token}_{check}"
@@ -177,7 +183,7 @@ def cmd_tomo(args: argparse.Namespace) -> int:
     label = f"{ideal_token}.{args.stage}"
     report = run_tomography(circ, ideal_state(ideal_token), args.shots, args.noise, seed)
 
-    print(f"tomography {label}: shots={args.shots}, seed={seed}, noise={args.noise_text}")
+    print(f"tomography {label}: shots={args.shots}, seed={seed}, noise={_noise_text(args.noise)}")
     print(f"  fidelity_to_ideal = {report.fidelity_to_ideal:.6f}")
     print(f"  purity            = {report.purity:.6f}")
     print(f"  deviation avg/max = {report.deviation.average:.6f} / {report.deviation.maximum:.6f}")
@@ -295,12 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "noise"):
-        args.noise_text = (
-            "none" if args.noise.is_ideal else
-            f"depol:{args.noise.per_gate_depolarizing},{args.noise.per_cnot_depolarizing},"
-            f"readout:{args.noise.readout_flip}"
-        )
     try:
         return args.func(args)
     except (BelldiscError, OSError) as exc:

@@ -60,14 +60,15 @@ def contract_qubits(t: np.ndarray, op: np.ndarray, n: int, k_in: int) -> np.ndar
     """Contract ``op`` (output axes, then ``k_in`` input axes) into every qubit of ``t``.
 
     ``t`` has ``k_in`` groups of ``n`` axes, one per qubit (rho as (2,)*2n has
-    rows and columns); the result has one such group per output axis.
+    rows and columns); the result has one such group per output axis.  Each qubit
+    is one transpose, reshape and ``@`` of ``op`` as a matrix, its outputs moved last.
     """
     k_out = op.ndim - k_in
-    op_in = list(range(k_out, op.ndim))
-    for q in range(n):
-        left = n - q  # axes of each input group not yet contracted
-        t = np.tensordot(t, op, axes=([g * left for g in range(k_in)], op_in))
-    return t.transpose([q * k_out + g for g in range(k_out) for q in range(n)])
+    m = op.reshape(int(np.prod(op.shape[:k_out])), -1)
+    t = t.transpose([g * n + q for q in range(n) for g in range(k_in)])  # qubit-major
+    for _ in range(n):
+        t = (m @ t.reshape(m.shape[1], -1)).T
+    return t.reshape(op.shape[:k_out] * n).transpose([q * k_out + g for g in range(k_out) for q in range(n)])
 
 
 def ket(bits: str) -> np.ndarray:

@@ -56,6 +56,7 @@ PUBLISHED_DEVIATION: dict[str, tuple[float, float]] = {
 }
 
 _BELL_TOKENS = {kind.name.lower(): kind for kind in BellKind}
+_DATA = resources.files("belldisc").joinpath("data")  # a Traversable, so the package may live in a zip
 
 
 def ideal_state(token: str) -> np.ndarray:
@@ -138,7 +139,7 @@ def load_matrix(name_or_path: str | Path) -> LabeledMatrix:
     """Load an embedded matrix by label, or any file in the same format."""
     name = str(name_or_path)
     if name in EMBEDDED_LABELS:
-        text = resources.files("belldisc").joinpath("data", f"{name}.json").read_text()
+        text = _DATA.joinpath(f"{name}.json").read_text()
         origin = f"embedded:{name}"
     else:
         text = Path(name_or_path).read_text()

@@ -13,9 +13,9 @@ each outcome is (-1)^(number of 1 bits at the non-identity positions), so
 variant reported alongside the raw matrix.
 
 :func:`run_tomography` takes all counts from one simulation as a (3^n, 2^n)
-array.  The coefficients contract it with a (4, 3, 2) sign tensor per qubit;
-inversion and :func:`exact_expectations` contract each qubit with the (4, 2, 2)
-Pauli basis.  The dict-keyed functions adapt to the same array code.
+array and contracts each qubit with one (2, 2, 3, 2) tensor, the (4, 3, 2) sign
+tensor of the estimate times the (4, 2, 2) Pauli basis of the inversion, straight
+to the raw matrix.  The dict-keyed functions estimate and invert in two steps.
 """
 from __future__ import annotations
 
@@ -71,6 +71,7 @@ _SIGNS = np.array([
     [[0, 0], [1, -1], [0, 0]],
     [[0, 0], [0, 0], [1, -1]],
 ], dtype=np.int64)
+_RAW = np.einsum("lrc,lsb->rcsb", qmath.PAULI_BASIS, _SIGNS)  # estimation and inversion in one tensor
 
 
 def _estimate(counts: np.ndarray, shots: int) -> np.ndarray:
@@ -186,23 +187,24 @@ def run_tomography(
     noise: NoiseModel = IDEAL,
     seed: int = 0,
 ) -> TomographyReport:
-    """Sample all settings, estimate coefficients, reconstruct and score.
+    """Sample all settings, reconstruct and score.
 
-    The per-setting sampling streams are derived from the setting index, so a
-    root seed pins the whole run.  ``ideal`` may be a density matrix or a
-    pure state vector.
+    The counts go to the raw matrix in one contraction per qubit, divided by shots 2^n.  The
+    per-setting sampling streams are derived from the setting index, so a root seed pins the
+    whole run.  ``ideal`` may be a density matrix or a pure state vector.
     """
     if circuit.measured:
         raise HasMeasurements("tomography appends its own measurements")
     ideal_m = np.asarray(ideal, dtype=complex)
     if ideal_m.ndim == 1:
         ideal_m = qmath.projector(ideal_m)
-    dim = 2 ** circuit.n_qubits
-    if ideal_m.shape != (dim, dim):
-        raise DimensionMismatch(f"ideal has shape {ideal_m.shape}, circuit needs {(dim, dim)}")
+    n = circuit.n_qubits
+    if ideal_m.shape != (2 ** n, 2 ** n):
+        raise DimensionMismatch(f"ideal has shape {ideal_m.shape}, circuit needs {(2 ** n, 2 ** n)}")
 
-    plan(circuit.n_qubits)  # rejects registers too large for tomography
-    raw = _invert(_estimate(sample_settings(circuit, shots, noise, seed), shots), circuit.n_qubits)
+    plan(n)  # rejects registers too large for tomography
+    counts = sample_settings(circuit, shots, noise, seed).reshape((3,) * n + (2,) * n)
+    raw = qmath.contract_qubits(counts, _RAW, n, 2).reshape(2 ** n, 2 ** n) / (shots * 2 ** n)
     physical, clipped = qmath.make_physical(raw)
     return TomographyReport(
         raw=raw,
@@ -211,7 +213,7 @@ def run_tomography(
         deviation=qmath.deviation(ideal_m, raw),
         purity=qmath.purity(raw),
         clipped=clipped,
-        n_qubits=circuit.n_qubits,
+        n_qubits=n,
         shots=int(shots),
         seed=int(seed),
     )

@@ -3,12 +3,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
 
+import belldisc.cli
 from belldisc.circuit import BellKind, bell_prep, parse_circuit
 from belldisc.cli import main, parse_noise_flag
 from belldisc.refdata import ideal_state, load_matrix
 from belldisc.sampler import IDEAL, NoiseModel
 from belldisc.tomography import run_tomography
+from conftest import noise_models
 
 
 class TestParseNoiseFlag:
@@ -49,6 +52,24 @@ class TestParseNoiseFlag:
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_noise_flag(bad)
+
+    @pytest.mark.parametrize(
+        "model, text",
+        [
+            (IDEAL, "none"),
+            (NoiseModel(readout_flip=0.05), "readout:0.05"),
+            (NoiseModel(0.02, 0.05), "depol:0.02,0.05"),
+            (NoiseModel(0.0, 0.05), "depol:0.0,0.05"),
+            (NoiseModel(0.02, 0.05, 0.02), "depol:0.02,0.05,readout:0.02"),
+        ],
+    )
+    def test_header_is_the_shortest_spec_that_parses_back(self, model, text):
+        assert belldisc.cli._noise_text(model) == text
+        assert parse_noise_flag(text) == model
+
+    @given(noise_models)
+    def test_header_round_trips(self, model):
+        assert parse_noise_flag(belldisc.cli._noise_text(model)) == model
 
 
 class TestDiscriminate:

@@ -268,3 +268,42 @@ class TestPartialTrace:
     def test_wrong_qubit_count(self):
         with pytest.raises(DimensionMismatch):
             qmath.partial_trace(np.eye(4) / 4, keep=[0], n_qubits=3)
+
+
+def _contract_reference(t, op, n, k_in):
+    """np.einsum of ``t`` with one copy of ``op`` per qubit: label g * n + q is input group g of qubit q."""
+    k_out = op.ndim - k_in
+    args = [t, list(range(k_in * n))]
+    for q in range(n):
+        args += [op, [(k_in + g) * n + q for g in range(k_out)] + [g * n + q for g in range(k_in)]]
+    return np.einsum(*args, [(k_in + g) * n + q for g in range(k_out) for q in range(n)])
+
+
+class TestContractQubits:
+    @given(
+        n=st.integers(1, 4),
+        k_in=st.integers(1, 2),
+        out_dims=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+        in_dims=st.lists(st.integers(1, 3), min_size=2, max_size=2),
+        dtypes=st.tuples(*[st.sampled_from([np.int64, np.float64, np.complex128])] * 2),
+        seed=seeds,
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_matches_einsum(self, n, k_in, out_dims, in_dims, dtypes, seed):
+        rng = np.random.default_rng(seed)
+
+        def draw(shape, dtype):
+            values = rng.integers(-9, 10, shape) if dtype is np.int64 else rng.normal(size=shape)
+            if dtype is np.complex128:
+                values = values + 1j * rng.normal(size=shape)
+            return values.astype(dtype)
+
+        in_dims = in_dims[:k_in]
+        t = draw(tuple(d for d in in_dims for _ in range(n)), dtypes[0])
+        op = draw(tuple(out_dims + in_dims), dtypes[1])
+        got, expected = qmath.contract_qubits(t, op, n, k_in), _contract_reference(t, op, n, k_in)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        if got.dtype == np.int64:
+            assert np.array_equal(got, expected)
+        else:
+            assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())

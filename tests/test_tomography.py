@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from belldisc import qmath
@@ -18,7 +18,7 @@ from belldisc.errors import (
     TooManyQubits,
     ZeroShots,
 )
-from belldisc.sampler import CountsHistogram, NoiseModel
+from belldisc.sampler import IDEAL, CountsHistogram, NoiseModel, sample_settings
 from belldisc.tomography import (
     ExpectationTable,
     exact_expectations,
@@ -27,7 +27,7 @@ from belldisc.tomography import (
     reconstruct,
     run_tomography,
 )
-from conftest import random_density
+from conftest import circuits, noise_models, random_density
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -227,3 +227,30 @@ class TestRunTomography:
         # serialized entries are printed at 6 decimals
         assert data["raw"]["re"][0][0] == round(report.raw.real[0, 0], 6)
         assert 0.0 <= data["fidelity_to_ideal"] <= 1.0
+
+
+class TestRawFromCounts:
+    """``run_tomography`` goes from counts to the raw matrix in one tensor; the two-step path is its reference."""
+
+    @given(
+        c=circuits(max_qubits=4),
+        noise=noise_models,
+        shots=st.just(8192) | st.integers(1, 10**5),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(c=bell_prep(BellKind.PSI_PLUS), noise=NoiseModel(0.02, 0.05, 0.02), shots=8192, seed=3)
+    @example(c=bell_prep(BellKind.PHI_MINUS), noise=IDEAL, shots=3, seed=0)
+    @settings(deadline=None, max_examples=100)
+    def test_raw_is_estimate_then_inversion(self, c, noise, shots, seed):
+        n = c.n_qubits
+        tomo_plan = plan(n)
+        histograms = {
+            setting: CountsHistogram(n, shots, {format(i, f"0{n}b"): int(k) for i, k in enumerate(row) if k})
+            for setting, row in zip(tomo_plan.settings, sample_settings(c, shots, noise, seed), strict=True)
+        }
+        expected = reconstruct(expectations_from_counts(tomo_plan, histograms))
+        raw = run_tomography(c, np.eye(2 ** n) / 2 ** n, shots, noise, seed).raw
+        if shots == 8192:  # every count over shots 2^n is exact, in both paths
+            assert np.array_equal(raw, expected)
+        else:
+            assert np.abs(raw - expected).max() <= 1e-12
