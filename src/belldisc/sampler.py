@@ -20,8 +20,9 @@ law, and ``sample`` draws it in one multinomial draw keyed by ``(seed,
 stream)``, its CDF rounded to multiples of 2^-32 so that laws differing only
 by round-off draw the same counts.  ``sample_settings`` draws all Pauli
 settings of a tomography from one evolution, count for count as ``sample``: each
-(4,) axis of rho is one matmul with the setting law of its qubit, basis change
-and readout flip together, and one Philox bit generator is re-keyed per setting.
+qubit's (row, column) pair of rho is one matmul with the setting law of that
+qubit, basis change and readout flip together, and one Philox bit generator is
+re-keyed per setting.
 """
 from __future__ import annotations
 
@@ -145,7 +146,6 @@ _REPLACEMENT = _lifted({
     kind: np.outer(np.eye(len(u)).ravel(), np.eye(len(u)).ravel()) / len(u)
     for kind, u in GATE_MATRICES.items()
 })
-_IS_CNOT = {w: np.array([kind == "CNOT" for kind, _ in keys])[:, None, None] for w, (keys, _) in _CONJUGATION.items()}
 
 
 def _depolarizing(noise: NoiseModel, kind: str) -> float:
@@ -160,18 +160,9 @@ def _channels(noise: NoiseModel) -> dict[int, dict[tuple, np.ndarray]]:
     """
     out = {}
     for width, (keys, conjugation) in _CONJUGATION.items():
-        p = np.where(_IS_CNOT[width], noise.per_cnot_depolarizing, noise.per_gate_depolarizing)
+        p = np.array([_depolarizing(noise, kind) for kind, _ in keys])[:, None, None]
         out[width] = dict(zip(keys, (1.0 - p) * conjugation + p * _REPLACEMENT[width][1]))
     return out
-
-
-def _rho(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
-    """rho as (4,)*n, axis q = 2 row + column of qubit q; from a 2^n state vector if no gate depolarizes."""
-    n = circuit.n_qubits
-    if any(_depolarizing(noise, g.kind) for g in circuit.gates):
-        return evolve(qmath.ket("00" * n).reshape((4,) * n), circuit.gates, _channels(noise))
-    psi = simulate(circuit).reshape((2,) * n)
-    return np.multiply.outer(psi, psi.conj()).transpose([q + g * n for q in range(n) for g in range(2)])
 
 
 def final_density(circuit: Circuit, noise: NoiseModel = IDEAL) -> np.ndarray:
@@ -183,8 +174,9 @@ def final_density(circuit: Circuit, noise: NoiseModel = IDEAL) -> np.ndarray:
     if not any(_depolarizing(noise, g.kind) for g in circuit.gates):
         return qmath.projector(simulate(circuit))
     n = circuit.n_qubits
+    rho = evolve(qmath.ket("00" * n).reshape((4,) * n), circuit.gates, _channels(noise))  # from |0..0><0..0|
     rows_first = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return _rho(circuit, noise).reshape((2,) * (2 * n)).transpose(rows_first).reshape(2 ** n, 2 ** n)
+    return rho.reshape((2,) * (2 * n)).transpose(rows_first).reshape(2 ** n, 2 ** n)
 
 
 def _normalized(probs: np.ndarray) -> np.ndarray:
@@ -238,16 +230,15 @@ def _key(name: str, value) -> int:
 def _draw(probs: np.ndarray, shots: int, seed: int, streams) -> np.ndarray:
     """Counts (rows, 2^m) of ``shots`` draws from each row of ``probs``, keyed by (seed, streams[i]) mod 2^64.
 
-    The keys are checked and masked once, into a (rows, 2) uint64 array; one Philox then takes row i's key,
-    a zero counter and an empty buffer, so it draws what a fresh ``Generator(Philox(key=seed | stream << 64))`` does.
+    One Philox is re-keyed for each row, with its counter, buffer and carried uint32 reset,
+    so row i draws exactly what a fresh ``Generator(Philox(key=seed | stream << 64))`` draws.
     """
     seed, philox = _key("seed", seed), np.random.Philox(0)  # every field of its state is set before each draw
-    keys = np.array([(seed, _key("stream", stream)) for stream in streams], np.uint64)
     rng, counts = np.random.Generator(philox), []
     state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0,
              "uinteger": 0, "state": {"counter": np.zeros(4, np.uint64)}}  # the setter copies, so it stays zero
-    for key, row in zip(keys, _on_grid(probs)):
-        state["state"]["key"] = key
+    for stream, row in zip(streams, _on_grid(probs)):
+        state["state"]["key"] = np.array([seed, _key("stream", stream)], np.uint64)
         philox.state = state
         counts.append(rng.multinomial(shots, row))
     return np.stack(counts)
@@ -276,16 +267,17 @@ def sample_settings(
     """Counts (3^n, 2^n) of all Pauli settings in ``tomography.plan`` order, from one evolution.
 
     Row i equals ``sample(with_basis_change(circuit, setting_i), ..., stream=i)``: the noisy
-    rotation and readout of each qubit act on it alone, so each (row, column) axis of rho as (4,)*n
-    is one matmul with (1 - r) M[s, b] + r M[s, 1 - b], r = readout_flip, M[s, b, 2i + j] =
+    rotation and readout of each qubit act on it alone, so each qubit's (row, column) pair of rho
+    is one matmul with (1 - r) M[s, b] + r M[s, 1 - b], r = readout_flip, M[s, b, i, j] =
     <b| E_s(|i><j|) |b>.  Basis s rotates by U_s through g_s gates (0 for Z, 1 for X, 2 for Y), each
     depolarized by p = per_gate_depolarizing: M = k U_s[b, i] conj(U_s[b, j]) + (1 - k) delta_ij / 2, k = (1 - p)^g_s.
     """
     shots = _check_shots(shots)
     n, r = circuit.n_qubits, noise.readout_flip
     k = np.array([(1.0 - noise.per_gate_depolarizing) ** len(g) for g in _BASIS_CHANGE.values()])[:, None, None, None]
-    m = (k * _BASIS_PROJECTORS + (1.0 - k) * np.eye(2) / 2).reshape(3, 2, 4)
-    law = qmath.contract_qubits(_rho(circuit, noise).reshape((4,) * n), (1.0 - r) * m + r * m[:, ::-1], n, 1)
+    m = k * _BASIS_PROJECTORS + (1.0 - k) * np.eye(2) / 2
+    rho = final_density(circuit, noise).reshape((2,) * (2 * n))
+    law = qmath.contract_qubits(rho, (1.0 - r) * m + r * m[:, ::-1], n, 2)
     return _draw(_normalized(law.real.reshape(3 ** n, 2 ** n)), shots, seed, range(3 ** n))
 
 
