@@ -26,6 +26,8 @@ from .errors import (
 )
 
 GATE_KINDS = ("H", "X", "S", "SDG", "CNOT")
+# The qubit indices each mnemonic of the text format takes: how many, and how an error names them.
+_OPERANDS = {kind: (1, "one qubit") for kind in GATE_KINDS + ("MEAS",)} | {"CNOT": (2, "control and target")}
 
 # CNOT's rows and columns are ordered (control, target), qubit order.
 GATE_MATRICES = {
@@ -64,9 +66,7 @@ class Gate:
         return (self.control, self.target)
 
     def text(self) -> str:
-        if self.kind == "CNOT":
-            return f"CNOT {self.control} {self.target}"
-        return f"{self.kind} {self.target}"
+        return " ".join([self.kind, *map(str, self.qubits)])
 
 
 def _check_unmeasured(gates, measured: set[int] | frozenset[int]) -> None:
@@ -251,10 +251,7 @@ class BellKind(Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "BellKind":
-        for kind in cls:
-            if kind.value == token:
-                return kind
-        raise ValueError(f"unknown Bell label {token!r}")
+        return cls(token)
 
 
 def bell_vector(kind: BellKind) -> np.ndarray:
@@ -363,24 +360,18 @@ def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
             args = tuple(int(p) for p in parts[1:])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad qubit index in {raw!r}") from exc
-        if mnemonic == "MEAS":
-            if len(args) != 1:
-                raise ParseError(f"line {lineno}: MEAS takes one qubit")
-        elif mnemonic == "CNOT":
-            if len(args) != 2:
-                raise ParseError(f"line {lineno}: CNOT takes control and target")
-        elif mnemonic in GATE_KINDS:
-            if len(args) != 1:
-                raise ParseError(f"line {lineno}: {mnemonic} takes one qubit")
-        else:
+        if mnemonic not in _OPERANDS:
             raise ParseError(f"line {lineno}: unknown mnemonic {parts[0]!r}")
+        arity, operands = _OPERANDS[mnemonic]
+        if len(args) != arity:
+            raise ParseError(f"line {lineno}: {mnemonic} takes {operands}")
         if any(a < 0 for a in args):
             raise ParseError(f"line {lineno}: negative qubit index")
         max_index = max(max_index, *args)
         if mnemonic == "MEAS":
             measured.add(args[0])
             continue
-        gate = Gate("CNOT", args[1], args[0]) if mnemonic == "CNOT" else Gate(mnemonic, args[0])
+        gate = Gate(mnemonic, *reversed(args))  # the text lists Gate.qubits; Gate takes them target first
         _check_unmeasured((gate,), measured)
         gates.append(gate)
     if max_index < 0:

@@ -48,6 +48,8 @@ from .transpile import DEFAULT_MAP, CouplingMap, transpile
 
 BELL_TOKENS = tuple(kind.value for kind in BellKind)
 STAGES = ("prep", "phase", "parity")
+# Each --noise clause and the NoiseModel fields its values set, in order.
+_NOISE_CLAUSES = {"depol": ("per_gate_depolarizing", "per_cnot_depolarizing"), "readout": ("readout_flip",)}
 
 
 def parse_noise_flag(text: str) -> NoiseModel:
@@ -55,48 +57,35 @@ def parse_noise_flag(text: str) -> NoiseModel:
     spec = text.strip()
     if spec == "none":
         return IDEAL
-    clauses: list[list[str]] = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            raise ValueError(f"empty clause in noise spec {text!r}")
-        if part[0].isalpha():
-            clauses.append([part])
-        elif clauses:
-            clauses[-1].append(part)
+    clauses: list[tuple[str, list[str]]] = []
+    for part in map(str.strip, spec.split(",")):
+        if part[:1].isalpha() or not clauses:  # a clause starts at a letter, or at the start
+            head, sep, first = part.partition(":")
+            clauses.append((head, [first] if sep else []))
         else:
-            raise ValueError(f"noise spec {text!r} starts with a bare number")
+            clauses[-1][1].append(part)
     kwargs: dict[str, float] = {}
-    for clause in clauses:
-        head, sep, first = clause[0].partition(":")
-        args = ([first] if sep else []) + clause[1:]
+    for head, args in clauses:
+        fields = _NOISE_CLAUSES.get(head)
+        if fields is None:
+            raise ValueError("'none' cannot be combined with other clauses" if head == "none"
+                             else f"unknown noise clause {head!r}")
         try:
             values = [float(a) for a in args]
         except ValueError as exc:
-            raise ValueError(f"non-numeric argument in noise clause {clause!r}") from exc
-        if head == "depol":
-            if len(values) != 2:
-                raise ValueError("depol takes two probabilities: depol:p_gate,p_cnot")
-            new = {"per_gate_depolarizing": values[0], "per_cnot_depolarizing": values[1]}
-        elif head == "readout":
-            if len(values) != 1:
-                raise ValueError("readout takes one probability: readout:r")
-            new = {"readout_flip": values[0]}
-        elif head == "none":
-            raise ValueError("'none' cannot be combined with other clauses")
-        else:
-            raise ValueError(f"unknown noise clause {head!r}")
-        for key, val in new.items():
-            if key in kwargs:
-                raise ValueError(f"duplicate noise clause for {key}")
-            kwargs[key] = val
+            raise ValueError(f"non-numeric argument in noise clause {head!r}") from exc
+        if len(values) != len(fields):
+            raise ValueError(f"{head} takes {len(fields)} value(s): {head}:{','.join(fields)}")
+        if not kwargs.keys().isdisjoint(fields):
+            raise ValueError(f"duplicate noise clause {head!r}")
+        kwargs.update(zip(fields, values))
     return NoiseModel(**kwargs)
 
 
 def _noise_text(noise: NoiseModel) -> str:
     """The shortest spec that :func:`parse_noise_flag` reads back as ``noise``: no clause of zeros."""
-    p, r = (noise.per_gate_depolarizing, noise.per_cnot_depolarizing), noise.readout_flip
-    return ",".join([f"depol:{p[0]},{p[1]}"] * any(p) + [f"readout:{r}"] * (r > 0)) or "none"
+    clauses = {head: [getattr(noise, f) for f in fields] for head, fields in _NOISE_CLAUSES.items()}
+    return ",".join(f"{head}:{','.join(map(str, v))}" for head, v in clauses.items() if any(v)) or "none"
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -264,10 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def noise_flag(text: str) -> NoiseModel:
+        try:
+            return parse_noise_flag(text)
+        except ValueError as exc:  # argparse prints the message of this class only
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
     def add_common(p: argparse.ArgumentParser, sampling: bool, formats: bool) -> None:
         if sampling:
             p.add_argument("--shots", type=int, default=8192, help="samples per histogram")
-            p.add_argument("--noise", type=parse_noise_flag, default=IDEAL,
+            p.add_argument("--noise", type=noise_flag, default=IDEAL,
                            help="none | depol:p_gate,p_cnot | readout:r (comma-chained)")
             p.add_argument("--seed", type=int, default=None,
                            help="root seed (default: $BELLDISC_SEED or 0)")

@@ -14,11 +14,11 @@ rho is evolved as a (4,)*n tensor, one (row, column) axis per qubit, by
 :func:`belldisc.circuit.evolve`: each maximal run of gates on at most two
 qubits, with their channels, is one matrix applied to its qubits' axes.  A
 circuit whose gates carry no depolarizing noise is evolved as a 2^n state
-vector.  Seeds and streams are integers taken modulo 2^64.  Readout flips
-are folded into the probabilities: ``exact_distribution`` is the post-readout
-law, and ``sample`` draws it in one multinomial draw keyed by ``(seed,
-stream)``, its CDF rounded to multiples of 2^-32 so that laws differing only
-by round-off draw the same counts.  ``sample_settings`` draws all Pauli
+vector.  Seeds and streams are integers taken modulo 2^64.  ``_readout`` folds
+the flip of one bit into a law, on that bit's axis: ``exact_distribution`` is
+the post-readout law, and ``sample`` draws it in one multinomial draw keyed by
+``(seed, stream)``, its CDF rounded to multiples of 2^-32 so that laws differing
+only by round-off draw the same counts.  ``sample_settings`` draws all Pauli
 settings of a tomography from one evolution, count for count as ``sample``: each
 qubit's (row, column) pair of rho is one matmul with the setting law of that
 qubit, basis change and readout flip together, and one Philox bit generator is
@@ -27,7 +27,7 @@ re-keyed per setting.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import reduce
 from typing import Mapping
 
@@ -40,11 +40,13 @@ from .errors import (
     IdentityInSetting,
     NoMeasurements,
     ParseError,
+    TooManyQubits,
     ZeroShots,
 )
 
 _MASK64 = (1 << 64) - 1
 _CDF_GRID = 2.0 ** 32  # absorbs round-off, and moves no CDF entry by more than 2^-33
+MAX_TOMOGRAPHY_QUBITS = 4  # sample_settings holds a law of 6^n entries
 
 
 @dataclass(frozen=True)
@@ -54,18 +56,14 @@ class NoiseModel:
     readout_flip: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("per_gate_depolarizing", "per_cnot_depolarizing", "readout_flip"):
-            p = getattr(self, name)
+        for f in fields(self):
+            p = getattr(self, f.name)
             if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
+                raise ValueError(f"{f.name} must be in [0, 1], got {p}")
 
     @property
     def is_ideal(self) -> bool:
-        return (
-            self.per_gate_depolarizing == 0.0
-            and self.per_cnot_depolarizing == 0.0
-            and self.readout_flip == 0.0
-        )
+        return self == IDEAL
 
 
 IDEAL = NoiseModel()
@@ -184,15 +182,9 @@ def _normalized(probs: np.ndarray) -> np.ndarray:
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def _readout(probs: np.ndarray, r: float) -> np.ndarray:
-    """Post-readout law over the last axis: each of its bits flips independently with probability r."""
-    if r == 0.0:
-        return probs
-    lead, m = probs.ndim - 1, probs.shape[-1].bit_length() - 1
-    t = probs.reshape(probs.shape[:-1] + (2,) * m)
-    for axis in range(lead, lead + m):
-        t = (1.0 - r) * t + r * np.flip(t, axis=axis)
-    return t.reshape(probs.shape)
+def _readout(t: np.ndarray, r: float, axis: int) -> np.ndarray:
+    """The law ``t`` after the bit indexed by ``axis`` is read out, flipping with probability r."""
+    return (1.0 - r) * t + r * np.flip(t, axis)
 
 
 def _law(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
@@ -202,7 +194,10 @@ def _law(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     n = circuit.n_qubits
     probs = np.real(np.diag(final_density(circuit, noise))).reshape((2,) * n)
     probs = probs.sum(axis=tuple(q for q in range(n) if q not in circuit.measured))
-    return _readout(_normalized(probs.reshape(-1)), noise.readout_flip)
+    probs = _normalized(probs.reshape(-1)).reshape(probs.shape)
+    for axis in range(probs.ndim):
+        probs = _readout(probs, noise.readout_flip, axis)
+    return probs.reshape(-1)
 
 
 def exact_distribution(circuit: Circuit, noise: NoiseModel = IDEAL) -> dict[str, float]:
@@ -268,16 +263,18 @@ def sample_settings(
 
     Row i equals ``sample(with_basis_change(circuit, setting_i), ..., stream=i)``: the noisy
     rotation and readout of each qubit act on it alone, so each qubit's (row, column) pair of rho
-    is one matmul with (1 - r) M[s, b] + r M[s, 1 - b], r = readout_flip, M[s, b, i, j] =
-    <b| E_s(|i><j|) |b>.  Basis s rotates by U_s through g_s gates (0 for Z, 1 for X, 2 for Y), each
-    depolarized by p = per_gate_depolarizing: M = k U_s[b, i] conj(U_s[b, j]) + (1 - k) delta_ij / 2, k = (1 - p)^g_s.
+    is one matmul with M[s, b, i, j] = <b| E_s(|i><j|) |b>, read out on its axis b by ``_readout``.
+    Basis s rotates by U_s through g_s gates (0 for Z, 1 for X, 2 for Y), each depolarized by
+    p = per_gate_depolarizing: M = k U_s[b, i] conj(U_s[b, j]) + (1 - k) delta_ij / 2, k = (1 - p)^g_s.
     """
+    n = circuit.n_qubits
+    if n > MAX_TOMOGRAPHY_QUBITS:
+        raise TooManyQubits(f"{n} qubits would need 3^{n} settings")
     shots = _check_shots(shots)
-    n, r = circuit.n_qubits, noise.readout_flip
     k = np.array([(1.0 - noise.per_gate_depolarizing) ** len(g) for g in _BASIS_CHANGE.values()])[:, None, None, None]
     m = k * _BASIS_PROJECTORS + (1.0 - k) * np.eye(2) / 2
     rho = final_density(circuit, noise).reshape((2,) * (2 * n))
-    law = qmath.contract_qubits(rho, (1.0 - r) * m + r * m[:, ::-1], n, 2)
+    law = qmath.contract_qubits(rho, _readout(m, noise.readout_flip, 1), n, 2)
     return _draw(_normalized(law.real.reshape(3 ** n, 2 ** n)), shots, seed, range(3 ** n))
 
 

@@ -37,9 +37,7 @@ from .errors import (
     TooManyQubits,
 )
 from .refdata import matrix_parts
-from .sampler import IDEAL, CountsHistogram, NoiseModel, sample_settings
-
-MAX_TOMOGRAPHY_QUBITS = 4
+from .sampler import IDEAL, MAX_TOMOGRAPHY_QUBITS, CountsHistogram, NoiseModel, sample_settings
 
 
 @dataclass(frozen=True)
@@ -202,7 +200,6 @@ def run_tomography(
     if ideal_m.shape != (2 ** n, 2 ** n):
         raise DimensionMismatch(f"ideal has shape {ideal_m.shape}, circuit needs {(2 ** n, 2 ** n)}")
 
-    plan(n)  # rejects registers too large for tomography
     counts = sample_settings(circuit, shots, noise, seed).reshape((3,) * n + (2,) * n)
     raw = qmath.contract_qubits(counts, _RAW, n, 2).reshape(2 ** n, 2 ** n) / (shots * 2 ** n)
     physical, clipped = qmath.make_physical(raw)

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from belldisc import qmath
@@ -328,3 +328,15 @@ class TestTextFormat:
     def test_gate_after_meas_rejected(self):
         with pytest.raises(HasMeasurementsBeforeEnd):
             parse_circuit("H 0\nMEAS 0\nX 0\n")
+
+    @pytest.mark.parametrize("line", ["CNOT 0 1 2", "MEAS", "H", "X 0 1"])
+    def test_parse_rejects_wrong_arity(self, line):
+        with pytest.raises(ParseError):
+            parse_circuit(line)
+
+    @given(circuits(), st.data())
+    def test_round_trip_random(self, c, data):
+        measured = data.draw(st.frozensets(st.integers(0, c.n_qubits - 1)))
+        assume(c.gates or measured)  # the text of an empty circuit is rejected
+        c = Circuit(c.n_qubits, c.gates, measured)
+        assert parse_circuit(format_circuit(c), c.n_qubits) == c

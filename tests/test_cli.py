@@ -14,6 +14,21 @@ from belldisc.tomography import run_tomography
 from conftest import noise_models
 
 
+REJECTED_NOISE_SPECS = [
+    "depol:0.02",  # wrong arity
+    "depol:0.1,0.2,0.3",  # wrong arity
+    "readout:0.1,0.2",  # wrong arity
+    "foo:0.1",  # unknown clause
+    "depol:0.1,0.2,depol:0.3,0.4",  # duplicate
+    "readout:0.1,readout:0.2",  # duplicate
+    "none,readout:0.1",  # none is exclusive
+    "0.3,depol:0.1,0.2",  # leading bare number
+    "depol:a,b",  # non-numeric
+    "readout:1.5",  # out of range
+    "",  # empty
+]
+
+
 class TestParseNoiseFlag:
     def test_none(self):
         assert parse_noise_flag("none") is IDEAL
@@ -34,24 +49,30 @@ class TestParseNoiseFlag:
         assert nm == NoiseModel(0.02, 0.06, 0.01)
 
     @pytest.mark.parametrize(
-        "bad",
+        "text, model",
         [
-            "depol:0.02",  # wrong arity
-            "depol:0.1,0.2,0.3",  # wrong arity
-            "readout:0.1,0.2",  # wrong arity
-            "foo:0.1",  # unknown clause
-            "depol:0.1,0.2,depol:0.3,0.4",  # duplicate
-            "readout:0.1,readout:0.2",  # duplicate
-            "none,readout:0.1",  # none is exclusive
-            "0.3,depol:0.1,0.2",  # leading bare number
-            "depol:a,b",  # non-numeric
-            "readout:1.5",  # out of range
-            "",  # empty
+            ("depol: 0.02,0.05", NoiseModel(0.02, 0.05, 0.0)),
+            ("depol:0.02,0.05, readout:0.01", NoiseModel(0.02, 0.05, 0.01)),
+            ("readout:0.01,depol:1e-3,2e-3", NoiseModel(0.001, 0.002, 0.01)),
+            (" none ", IDEAL),
         ],
     )
+    def test_accepted_spellings(self, text, model):
+        assert parse_noise_flag(text) == model
+
+    @pytest.mark.parametrize("bad", REJECTED_NOISE_SPECS)
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_noise_flag(bad)
+
+    @pytest.mark.parametrize("bad", REJECTED_NOISE_SPECS)
+    def test_cli_names_the_reason(self, bad, capsys):
+        with pytest.raises(ValueError) as reason:
+            parse_noise_flag(bad)
+        with pytest.raises(SystemExit) as exc:
+            main(["tomo", "--bell", "psi+", "--noise", bad])
+        assert exc.value.code == 2
+        assert f"argument --noise: {reason.value}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "model, text",

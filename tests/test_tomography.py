@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from belldisc import qmath
-from belldisc.circuit import BellKind, bell_prep, composite_state
+from belldisc import qmath, sampler, tomography
+from belldisc.circuit import BellKind, Circuit, bell_prep, composite_state
 from belldisc.errors import (
     DimensionMismatch,
     HasMeasurements,
@@ -44,6 +44,14 @@ class TestPlan:
             plan(0)
         with pytest.raises(TooManyQubits):
             plan(5)
+
+    def test_sampling_shares_the_bound(self):
+        c = Circuit(5).h(0)
+        with pytest.raises(TooManyQubits):
+            sample_settings(c, 8)
+        with pytest.raises(TooManyQubits):
+            run_tomography(c, np.eye(32) / 32, 8)
+        assert tomography.MAX_TOMOGRAPHY_QUBITS is sampler.MAX_TOMOGRAPHY_QUBITS == 4
 
 
 class TestExactExpectations:
