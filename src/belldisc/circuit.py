@@ -249,6 +249,11 @@ class BellKind(Enum):
         """Phase-check ancilla outcome: 0 for +, 1 for -."""
         return 1 if self in (BellKind.PSI_MINUS, BellKind.PHI_MINUS) else 0
 
+    @property
+    def token(self) -> str:
+        """The pair's name in file names and ideal-state tokens: ``psi_plus``."""
+        return self.name.lower()
+
     @classmethod
     def from_token(cls, token: str) -> "BellKind":
         return cls(token)
@@ -302,6 +307,9 @@ def phase_check(system: tuple[int, int] = (0, 1), ancilla: int = 2, n_qubits: in
     return Circuit(n_qubits).h(ancilla).cnot(ancilla, a).cnot(ancilla, b).h(ancilla)
 
 
+CHECKS = {"parity": parity_check, "phase": phase_check}
+
+
 def combined_check(
     system: tuple[int, int] = (0, 1),
     phase_ancilla: int = 2,
@@ -321,13 +329,9 @@ def discrimination_circuit(
     n_qubits: int = 3,
 ) -> Circuit:
     """Prep + one check block + reverse EPR, as run for the outcome histograms."""
-    if check == "parity":
-        block = parity_check(system, ancilla, n_qubits)
-    elif check == "phase":
-        block = phase_check(system, ancilla, n_qubits)
-    else:
+    if check not in CHECKS:
         raise ValueError(f"check must be 'parity' or 'phase', got {check!r}")
-    c = bell_prep(kind, system, n_qubits).extend(block)
+    c = bell_prep(kind, system, n_qubits).extend(CHECKS[check](system, ancilla, n_qubits))
     return c.extend(reverse_epr(system, n_qubits))
 
 

@@ -20,13 +20,10 @@ from pathlib import Path
 
 from .circuit import (
     BellKind,
-    bell_prep,
     discrimination_circuit,
     equivalent_up_to_phase,
     format_circuit,
-    parity_check,
     parse_circuit,
-    phase_check,
     unitary_of,
     Circuit,
 )
@@ -37,17 +34,18 @@ from .refdata import (
     FIDELITY_TOL,
     PUBLISHED_DEVIATION,
     PUBLISHED_FIDELITY,
+    STAGES,
     ideal_state,
     matrix_json_dict,
     metrics_to_csv,
     reproduce_metrics,
+    stage,
 )
-from .sampler import IDEAL, NoiseModel, sample
+from .sampler import IDEAL, CountsHistogram, NoiseModel, sample
 from .tomography import run_tomography
 from .transpile import DEFAULT_MAP, CouplingMap, transpile
 
 BELL_TOKENS = tuple(kind.value for kind in BellKind)
-STAGES = ("prep", "phase", "parity")
 # Each --noise clause and the NoiseModel fields its values set, in order.
 _NOISE_CLAUSES = {"depol": ("per_gate_depolarizing", "per_cnot_depolarizing"), "readout": ("readout_flip",)}
 
@@ -115,18 +113,15 @@ def _resolve_seed(args: argparse.Namespace) -> int:
         raise ParseError(f"BELLDISC_SEED={env!r} is not an integer") from exc
 
 
-def _probability_table_text(title: str, hist_counts: dict[str, int], shots: int) -> str:
+def _probability_table_text(title: str, hist: CountsHistogram) -> str:
     lines = [title, "  outcome  count  probability"]
-    for outcome in sorted(hist_counts):
-        cnt = hist_counts[outcome]
-        lines.append(f"  {outcome:<8s} {cnt:>6d}  {cnt / shots:.6f}")
+    lines += [f"  {k:<8s} {hist.counts[k]:>6d}  {hist.probability(k):.6f}" for k in sorted(hist.counts)]
     return "\n".join(lines) + "\n"
 
 
 def cmd_discriminate(args: argparse.Namespace) -> int:
     kind = BellKind.from_token(args.bell)
     seed = _resolve_seed(args)
-    token = kind.name.lower()
     out = Path(args.out)
     for stream, check in enumerate(("parity", "phase")):
         circ = discrimination_circuit(kind, check).measure(0, 1, 2)
@@ -135,12 +130,13 @@ def cmd_discriminate(args: argparse.Namespace) -> int:
             f"{check} check, bell={kind.value}, shots={args.shots}, "
             f"seed={seed}, noise={_noise_text(args.noise)}"
         )
-        print(_probability_table_text(title, hist.counts, hist.shots), end="")
-        base = out / f"discriminate_{token}_{check}"
+        table = _probability_table_text(title, hist)
+        print(table, end="")
+        base = out / f"discriminate_{kind.token}_{check}"
         _atomic_write(
             base.with_suffix(".counts.json"), json.dumps(hist.to_json_dict(), indent=1) + "\n"
         )
-        probs = {k: hist.counts[k] / hist.shots for k in sorted(hist.counts)}
+        probs = {k: hist.probability(k) for k in sorted(hist.counts)}
         if args.format == "json":
             payload = {"check": check, "bell": kind.value, "shots": hist.shots, "probabilities": probs}
             _atomic_write(base.with_suffix(".probs.json"), json.dumps(payload, indent=1) + "\n")
@@ -149,27 +145,14 @@ def cmd_discriminate(args: argparse.Namespace) -> int:
             rows += [f"{k},{hist.counts[k]},{probs[k]:.6f}" for k in sorted(hist.counts)]
             _atomic_write(base.with_suffix(".probs.csv"), "\n".join(rows) + "\n")
         else:
-            _atomic_write(base.with_suffix(".probs.txt"), _probability_table_text(title, hist.counts, hist.shots))
+            _atomic_write(base.with_suffix(".probs.txt"), table)
     return 0
-
-
-def _stage_circuit(kind: BellKind, stage: str) -> tuple[Circuit, int]:
-    circ = bell_prep(kind)
-    if stage == "prep":
-        return circ, 0
-    if stage == "phase":
-        return circ.extend(phase_check()), kind.phase_bit
-    if stage == "parity":
-        return circ.extend(parity_check()), kind.parity_bit
-    raise ValueError(f"unknown stage {stage!r}")
 
 
 def cmd_tomo(args: argparse.Namespace) -> int:
     kind = BellKind.from_token(args.bell)
     seed = _resolve_seed(args)
-    circ, ancilla_bit = _stage_circuit(kind, args.stage)
-    ideal_token = f"{kind.name.lower()}_{ancilla_bit}"
-    label = f"{ideal_token}.{args.stage}"
+    label, ideal_token, circ = stage(kind, args.stage)
     report = run_tomography(circ, ideal_state(ideal_token), args.shots, args.noise, seed)
 
     print(f"tomography {label}: shots={args.shots}, seed={seed}, noise={_noise_text(args.noise)}")
@@ -186,7 +169,7 @@ def cmd_tomo(args: argparse.Namespace) -> int:
     )
     _atomic_write(base.with_suffix(".matrix.json"), json.dumps(matrix_payload, indent=1) + "\n")
 
-    lines = ["row," + ",".join(str(i) for i in range(1, 9))]
+    lines = ["row," + ",".join(str(i) for i in range(1, len(report.raw) + 1))]
     lines += [f"{i}," + ",".join(f"{v:.6f}" for v in row) for i, row in enumerate(report.raw.real, start=1)]
     _atomic_write(base.with_suffix(".rho_real.csv"), "\n".join(lines) + "\n")
     return 0

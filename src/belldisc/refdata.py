@@ -8,10 +8,10 @@ here; the actual asymmetry of each matrix is recorded in its metadata instead
 of being silently symmetrized away.
 
 Labels look like ``psi_plus_0.prep``: the ideal state token (Bell pair plus
-ancilla bit) and the stage (prep, phase or parity).  Fidelities are evaluated
-on the raw matrices through the pure-state branch of
-:func:`belldisc.qmath.fidelity`, which is the convention the published
-numbers are quoted in.
+ancilla bit) and the stage (prep, phase or parity), as :func:`stage` builds
+them.  Fidelities are evaluated on the raw matrices through the pure-state
+branch of :func:`belldisc.qmath.fidelity`, which is the convention the
+published numbers are quoted in.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import qmath
-from .circuit import BellKind, composite_state
+from .circuit import CHECKS, BellKind, Circuit, bell_prep, composite_state
 from .errors import BadDimensions, NonHermitianBeyondTolerance, ParseError
 
 MATRIX_DIM = 8
@@ -55,17 +55,27 @@ PUBLISHED_DEVIATION: dict[str, tuple[float, float]] = {
     "phi_minus_0.prep": (0.020, 0.118),
 }
 
-_BELL_TOKENS = {kind.name.lower(): kind for kind in BellKind}
+STAGES = ("prep", "phase", "parity")  # the pair as prepared, then after each check block
+_IDEAL_TOKENS = {f"{kind.token}_{bit}": (kind, bit) for kind in BellKind for bit in (0, 1)}
+_TOKEN_OF = {pair: token for token, pair in _IDEAL_TOKENS.items()}
 _DATA = resources.files("belldisc").joinpath("data")  # a Traversable, so the package may live in a zip
 
 
 def ideal_state(token: str) -> np.ndarray:
-    """Three-qubit state for a token like ``psi_plus_0`` (Bell pair, ancilla bit)."""
-    try:
-        bell, anc = token.rsplit("_", 1)
-        return composite_state(_BELL_TOKENS[bell], int(anc))
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"unknown ideal-state token {token!r}") from exc
+    """Three-qubit state for one of the 8 tokens ``psi_plus_0`` ... ``phi_minus_1`` (Bell pair, ancilla bit)."""
+    if token not in _IDEAL_TOKENS:
+        raise ParseError(f"unknown ideal-state token {token!r}")
+    return composite_state(*_IDEAL_TOKENS[token])
+
+
+def stage(kind: BellKind, name: str) -> tuple[str, str, Circuit]:
+    """Label (``psi_minus_1.phase``), ideal-state token and circuit of a stage: the pair, then its check block."""
+    bits = dict(zip(STAGES, (0, kind.phase_bit, kind.parity_bit)))  # the bit each block leaves on the ancilla
+    if name not in bits:
+        raise ValueError(f"unknown stage {name!r}")
+    token = _TOKEN_OF[kind, bits[name]]
+    circuit = bell_prep(kind).extend(CHECKS[name]()) if name in CHECKS else bell_prep(kind)
+    return f"{token}.{name}", token, circuit
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,7 @@ class CountsHistogram:
         for key, cnt in dict(self.counts).items():
             if len(key) != self.n_bits or any(b not in "01" for b in key):
                 raise ParseError(f"bad outcome key {key!r} for {self.n_bits} bits")
-            if not isinstance(cnt, (int, np.integer)) or cnt < 0:
+            if not _is_int(cnt) or cnt < 0:
                 raise ParseError(f"bad count {cnt!r} for outcome {key!r}")
             coerced[key] = int(cnt)
         object.__setattr__(self, "counts", coerced)
@@ -219,21 +219,22 @@ def _on_grid(probs: np.ndarray) -> np.ndarray:
 def _key(name: str, value) -> int:
     if not _is_int(value):
         raise TypeError(f"{name} must be an integer, got {value!r}")
-    return int(value) & _MASK64
+    return int(value)
 
 
 def _draw(probs: np.ndarray, shots: int, seed: int, streams) -> np.ndarray:
     """Counts (rows, 2^m) of ``shots`` draws from each row of ``probs``, keyed by (seed, streams[i]) mod 2^64.
 
-    One Philox is re-keyed for each row, with its counter, buffer and carried uint32 reset,
-    so row i draws exactly what a fresh ``Generator(Philox(key=seed | stream << 64))`` draws.
+    One Philox is re-keyed for each row, with its counter, buffer and carried uint32 reset, so row i
+    draws exactly what a fresh ``Generator(Philox(key=seed | stream << 64))`` draws.  Seed and
+    streams are ints, checked where they enter ``sample`` and ``sample_settings``.
     """
-    seed, philox = _key("seed", seed), np.random.Philox(0)  # every field of its state is set before each draw
+    seed, philox = seed & _MASK64, np.random.Philox(0)  # every field of its state is set before each draw
     rng, counts = np.random.Generator(philox), []
     state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0,
              "uinteger": 0, "state": {"counter": np.zeros(4, np.uint64)}}  # the setter copies, so it stays zero
     for stream, row in zip(streams, _on_grid(probs)):
-        state["state"]["key"] = np.array([seed, _key("stream", stream)], np.uint64)
+        state["state"]["key"] = np.array([seed, stream & _MASK64], np.uint64)
         philox.state = state
         counts.append(rng.multinomial(shots, row))
     return np.stack(counts)
@@ -243,7 +244,7 @@ def sample(
     circuit: Circuit, shots: int, noise: NoiseModel = IDEAL, seed: int = 0, stream: int = 0
 ) -> CountsHistogram:
     """Draw ``shots`` outcomes from the post-readout law of :func:`exact_distribution`, in one draw."""
-    counts = _draw(_law(circuit, noise)[None], _check_shots(shots), seed, [stream])[0]
+    counts = _draw(_law(circuit, noise)[None], _check_shots(shots), _key("seed", seed), [_key("stream", stream)])[0]
     m = len(circuit.measured)
     return CountsHistogram(m, shots, {format(i, f"0{m}b"): int(c) for i, c in enumerate(counts) if c})
 
@@ -275,7 +276,7 @@ def sample_settings(
     m = k * _BASIS_PROJECTORS + (1.0 - k) * np.eye(2) / 2
     rho = final_density(circuit, noise).reshape((2,) * (2 * n))
     law = qmath.contract_qubits(rho, _readout(m, noise.readout_flip, 1), n, 2)
-    return _draw(_normalized(law.real.reshape(3 ** n, 2 ** n)), shots, seed, range(3 ** n))
+    return _draw(_normalized(law.real.reshape(3 ** n, 2 ** n)), shots, _key("seed", seed), range(3 ** n))
 
 
 def with_basis_change(circuit: Circuit, setting: str) -> Circuit:

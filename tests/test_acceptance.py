@@ -97,6 +97,18 @@ def test_criterion_2_published_deviations():
     assert worst <= 0.002
 
 
+def test_round_off_cannot_flip_a_regression_verdict():
+    # each gap sits 1e-6 inside its tolerance, so a moved metric fails here before round-off decides it
+    rows = {r.label: r for r in reproduce_metrics()}
+    gaps = [(label, abs(rows[label].fidelity - target), 5e-4) for label, target in FIDELITY_TARGETS.items()]
+    for label, (avg_t, max_t) in DEVIATION_TARGETS.items():
+        gaps.append((f"{label} avg_dev", abs(rows[label].avg_dev - avg_t), 0.002))
+        gaps.append((f"{label} max_dev", abs(rows[label].max_dev - max_t), 0.002))
+    assert len(gaps) == 20
+    for name, gap, tolerance in gaps:
+        assert gap <= tolerance - 1e-6, (name, gap)
+
+
 def test_criterion_3_purity_below_one():
     purities = {
         label: qmath.purity(load_matrix(label).matrix, herm_tol=2e-3)

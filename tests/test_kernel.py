@@ -22,12 +22,10 @@ from belldisc.circuit import (
     apply_matrix,
     bell_prep,
     combined_check,
-    parity_check,
-    phase_check,
     simulate,
     unitary_of,
 )
-from belldisc.refdata import EMBEDDED_LABELS, ideal_state
+from belldisc.refdata import EMBEDDED_LABELS, STAGES as STAGE_NAMES, ideal_state, stage
 from belldisc.sampler import (
     IDEAL,
     CountsHistogram,
@@ -208,15 +206,10 @@ class TestEstimatorAgainstLoop:
 
 
 def _stage_circuits() -> list[tuple[str, Circuit, np.ndarray]]:
-    """The 12 reference stages and the 4 combined checks, with their ideal states."""
-    kinds = {kind.name.lower(): kind for kind in BellKind}
-    out = []
-    for label in EMBEDDED_LABELS:
-        token, stage = label.split(".")
-        c = bell_prep(kinds[token.rsplit("_", 1)[0]])
-        if stage != "prep":
-            c = c.extend(phase_check() if stage == "phase" else parity_check())
-        out.append((label, c, ideal_state(token)))
+    """The 12 reference stages, in ``EMBEDDED_LABELS`` order, and the 4 combined checks, with their ideal states."""
+    stages = {label: (c, ideal_state(token)) for label, token, c in (
+        stage(kind, name) for kind in BellKind for name in STAGE_NAMES)}
+    out = [(label, *stages[label]) for label in EMBEDDED_LABELS]
     for kind in BellKind:
         c = bell_prep(kind, n_qubits=4).extend(combined_check())
         out.append((f"{kind.value}.combined", c, final_density(c)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from belldisc import qmath
+from belldisc.circuit import BellKind, simulate
 from belldisc.errors import BadDimensions, NonHermitianBeyondTolerance, ParseError
 from belldisc.refdata import (
     EMBEDDED_LABELS,
@@ -11,11 +12,13 @@ from belldisc.refdata import (
     MATRIX_DIM,
     PUBLISHED_DEVIATION,
     PUBLISHED_FIDELITY,
+    STAGES,
     ideal_state,
     load_matrix,
     matrix_json_dict,
     metrics_to_csv,
     reproduce_metrics,
+    stage,
 )
 
 
@@ -74,10 +77,33 @@ class TestIdealState:
         expected[5] = -1 / np.sqrt(2)  # |101>
         assert np.allclose(phi1, expected)
 
-    @pytest.mark.parametrize("token", ["psi_plus", "psi_plus_2", "sigma_plus_0", "", "prep"])
+    @pytest.mark.parametrize("token", [
+        "psi_plus", "psi_plus_2", "sigma_plus_0", "", "prep",
+        "psi_plus_00", "psi_plus_+1", "psi_plus_-0", "psi_plus_ 1", "PSI_PLUS_0",
+    ])
     def test_bad_tokens(self, token):
         with pytest.raises(ParseError):
             ideal_state(token)
+
+
+class TestStages:
+    def test_labels_are_the_embedded_labels(self):
+        stages = [(name, *stage(kind, name)[:2]) for kind in BellKind for name in STAGES]
+        assert sorted(label for _, label, _ in stages) == sorted(EMBEDDED_LABELS)
+        for name, label, token in stages:
+            lm = load_matrix(label)
+            assert (lm.ideal, lm.stage) == (token, name), label
+
+    @pytest.mark.parametrize("name", STAGES)
+    @pytest.mark.parametrize("kind", BellKind)
+    def test_circuit_prepares_the_ideal_state(self, kind, name):
+        label, token, circuit = stage(kind, name)
+        assert label == f"{token}.{name}"
+        assert np.abs(simulate(circuit) - ideal_state(token)).max() <= 1e-12
+
+    def test_unknown_stage(self):
+        with pytest.raises(ValueError):
+            stage(BellKind.PSI_PLUS, "combined")
 
 
 class TestFileLoading:

@@ -75,6 +75,8 @@ class TestCountsHistogram:
             CountsHistogram.from_json("not json")
         with pytest.raises(ParseError):
             CountsHistogram.from_json('{"shots": 3}')
+        with pytest.raises(ParseError):  # a bool is not a count
+            CountsHistogram.from_json('{"n_bits": 1, "shots": 2, "counts": {"0": true, "1": true}}')
 
     @pytest.mark.parametrize("shots", [0, True, -1])
     def test_rejects_shots_that_are_not_positive_integers(self, shots):
