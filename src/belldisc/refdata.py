@@ -58,6 +58,7 @@ PUBLISHED_DEVIATION: dict[str, tuple[float, float]] = {
 STAGES = ("prep", "phase", "parity")  # the pair as prepared, then after each check block
 _IDEAL_TOKENS = {f"{kind.token}_{bit}": (kind, bit) for kind in BellKind for bit in (0, 1)}
 _TOKEN_OF = {pair: token for token, pair in _IDEAL_TOKENS.items()}
+_STAGE_LABELS = {f"{token}.{name}": (token, name) for token in _IDEAL_TOKENS for name in STAGES}
 _DATA = resources.files("belldisc").joinpath("data")  # a Traversable, so the package may live in a zip
 
 
@@ -108,7 +109,7 @@ def matrix_json_dict(
         "ideal": ideal,
         "stage": stage,
         "source": source,
-        "max_asymmetry": float(np.abs(m - m.conj().T).max()),
+        "max_asymmetry": qmath.asymmetry(m),
         **matrix_parts(m),
     }
 
@@ -127,17 +128,23 @@ def _parse_matrix_payload(data: dict, origin: str) -> LabeledMatrix:
         ):
             raise BadDimensions(f"{origin}: {name!r} payload is not {MATRIX_DIM}x{MATRIX_DIM}")
     try:
-        matrix = np.array(re_part, dtype=float) + 1j * np.array(im_part, dtype=float)
+        parts = np.array((re_part, im_part), dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{origin}: non-numeric matrix entry: {exc}") from exc
-    asym = float(np.abs(matrix - matrix.conj().T).max())
+    matrix = parts[0] + 1j * parts[1]
+    asym = qmath.asymmetry(matrix)
     if asym > HERMITICITY_TOL:
         raise NonHermitianBeyondTolerance(f"{origin}: asymmetry {asym:.3g} > {HERMITICITY_TOL}")
-    label = str(data["label"])
-    stage = str(data.get("stage", label.rsplit(".", 1)[-1] if "." in label else ""))
+    label, ideal = str(data["label"]), str(data["ideal"])
+    if ideal not in _IDEAL_TOKENS:
+        raise ParseError(f"{origin}: unknown ideal-state token {ideal!r}")
+    named = _STAGE_LABELS.get(label)  # a label in the <token>.<stage> form names both
+    stage = str(data.get("stage", named[1] if named else ""))
+    if named and named != (ideal, stage):
+        raise ParseError(f"{origin}: label {label!r} disagrees with ideal {ideal!r} and stage {stage!r}")
     return LabeledMatrix(
         label=label,
-        ideal=str(data["ideal"]),
+        ideal=ideal,
         stage=stage,
         source=str(data.get("source", "")),
         max_asymmetry=asym,
@@ -146,16 +153,21 @@ def _parse_matrix_payload(data: dict, origin: str) -> LabeledMatrix:
 
 
 def load_matrix(name_or_path: str | Path) -> LabeledMatrix:
-    """Load an embedded matrix by label, or any file in the same format."""
+    """Load an embedded matrix by label, or any file in the same format.
+
+    ``ideal`` must be one of the 8 ideal-state tokens.  A label of the form
+    ``<token>.<stage>`` must agree with ``ideal`` and ``stage``, and names the
+    stage when the file gives none; any other label is free-form.
+    """
     name = str(name_or_path)
     if name in EMBEDDED_LABELS:
-        text = _DATA.joinpath(f"{name}.json").read_text()
+        raw = _DATA.joinpath(f"{name}.json").read_bytes()
         origin = f"embedded:{name}"
     else:
-        text = Path(name_or_path).read_text()
+        raw = Path(name_or_path).read_bytes()
         origin = name
     try:
-        data = json.loads(text)
+        data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{origin}: bad JSON: {exc}") from exc
     if not isinstance(data, dict):

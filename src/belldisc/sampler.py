@@ -213,7 +213,12 @@ def _on_grid(probs: np.ndarray) -> np.ndarray:
     by round-off draw the same counts (numpy's binomial takes another branch
     when its ratio passes 0.5, which equal probabilities sit on).
     """
-    return np.diff(np.rint(np.cumsum(probs, axis=-1) * _CDF_GRID) / _CDF_GRID, axis=-1, prepend=0.0)
+    cdf = np.cumsum(probs, axis=-1)
+    cdf *= _CDF_GRID
+    np.rint(cdf, out=cdf)
+    cdf /= _CDF_GRID
+    cdf[..., 1:] -= cdf[..., :-1]  # numpy buffers the overlapping operands, so each step takes the old CDF
+    return cdf
 
 
 def _key(name: str, value) -> int:
@@ -225,19 +230,23 @@ def _key(name: str, value) -> int:
 def _draw(probs: np.ndarray, shots: int, seed: int, streams) -> np.ndarray:
     """Counts (rows, 2^m) of ``shots`` draws from each row of ``probs``, keyed by (seed, streams[i]) mod 2^64.
 
-    One Philox is re-keyed for each row, with its counter, buffer and carried uint32 reset, so row i
-    draws exactly what a fresh ``Generator(Philox(key=seed | stream << 64))`` draws.  Seed and
-    streams are ints, checked where they enter ``sample`` and ``sample_settings``.
+    One Philox is re-keyed for each row from a state of plain ints (key, a zero counter, an empty
+    buffer and no carried uint32; the setter reads ints and arrays alike, and ints faster), so
+    row i draws exactly what a fresh ``Generator(Philox(key=seed | stream << 64))`` draws.  Each
+    row's counts are written in place into one preallocated array.  Seed and streams are ints,
+    checked where they enter ``sample`` and ``sample_settings``.
     """
-    seed, philox = seed & _MASK64, np.random.Philox(0)  # every field of its state is set before each draw
-    rng, counts = np.random.Generator(philox), []
-    state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0,
-             "uinteger": 0, "state": {"counter": np.zeros(4, np.uint64)}}  # the setter copies, so it stays zero
-    for stream, row in zip(streams, _on_grid(probs)):
-        state["state"]["key"] = np.array([seed, stream & _MASK64], np.uint64)
+    philox = np.random.Philox(0)  # every field of its state is set before each draw
+    rng, grid = np.random.Generator(philox), _on_grid(probs)
+    counts = np.empty(grid.shape, np.int64)
+    key = [seed & _MASK64, 0]
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for i, stream in enumerate(streams):
+        key[1] = stream & _MASK64
         philox.state = state
-        counts.append(rng.multinomial(shots, row))
-    return np.stack(counts)
+        counts[i] = rng.multinomial(shots, grid[i])
+    return counts
 
 
 def sample(

@@ -3,8 +3,9 @@
 Every gate here is a full 2^n x 2^n matrix, depolarizing conjugates rho by all
 4^k Pauli strings on the touched qubits, tomography re-simulates the circuit
 once per setting and estimates each coefficient with a loop over outcome
-strings.  This is slow and obviously correct; the package's tensor kernels
-and batched tomography must agree with it.  ``sample_per_shot`` draws the
+strings, and fidelity diagonalizes its first argument every time.  This is
+slow and obviously correct; the package's tensor kernels, batched tomography
+and pure-state fidelity must agree with it.  ``sample_per_shot`` draws the
 same law shot by shot, so the law tests can check both draws.  Nothing under
 ``src/`` imports this module.
 """
@@ -16,6 +17,7 @@ import numpy as np
 
 from belldisc import qmath
 from belldisc.circuit import Circuit, Gate
+from belldisc.errors import DimensionMismatch, NotHermitian, NotSquare, StronglyNonPositive
 from belldisc.sampler import IDEAL, CountsHistogram, NoiseModel, with_basis_change
 from belldisc.tomography import TomographyReport, plan
 
@@ -206,3 +208,30 @@ def run_tomography(circuit: Circuit, ideal: np.ndarray, shots: int = 8192,
         shots=shots,
         seed=seed,
     )
+
+
+def _square(a: np.ndarray, what: str) -> np.ndarray:
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NotSquare(f"{what} must be a square matrix, got shape {m.shape}")
+    return m
+
+
+def fidelity(rho1: np.ndarray, rho2: np.ndarray, *, herm_tol: float = qmath.PHYSICALITY_TOL) -> float:
+    """Uhlmann fidelity with ``rho1`` always diagonalized; its largest eigenvector serves when it is pure."""
+    a, b = _square(rho1, "rho1"), _square(rho2, "rho2")
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
+    for what, m in (("rho1", a), ("rho2", b)):
+        if np.abs(m - m.conj().T).max() > herm_tol:
+            raise NotHermitian(f"{what} is not Hermitian")
+    evals, evecs = np.linalg.eigh((a + a.conj().T) / 2)
+    if evals.min() < -qmath.PHYSICALITY_TOL:
+        raise StronglyNonPositive(f"rho1 has eigenvalue {evals.min():.3g}")
+    if float(np.real(np.trace(a @ a))) > 1.0 - qmath.ALGEBRAIC_TOL:
+        psi = evecs[:, int(np.argmax(evals))]
+        return float(np.sqrt(max(float(np.real(psi.conj() @ b @ psi)), 0.0)))
+    sqrt_a = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
+    inner = sqrt_a @ b @ sqrt_a
+    mu = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
+    return float(np.sqrt(np.clip(mu, 0.0, None)).sum())

@@ -250,3 +250,30 @@ class TestBatchedTomography:
         # inversion is exact in any summation order
         assert np.array_equal(new.raw, old.raw)
         assert new.to_json_dict(label) == old.to_json_dict(label)
+
+
+class TestPublicReplay:
+    """``run_tomography`` is bitwise its steps taken one public call at a time.
+
+    The traced mode of ``perfbench`` times each layer by replaying a tomography this
+    way and requires the six scored fields of both reports to be equal bit for bit,
+    not only to the 6 decimals that ``to_json_dict`` prints.
+    """
+
+    @pytest.mark.parametrize("label,circuit,ideal", STAGES, ids=[s[0] for s in STAGES])
+    def test_report_equals_public_replay(self, label, circuit, ideal):
+        report = run_tomography(circuit, ideal, 8192, NOISE, seed=3)
+        ideal_m = qmath.projector(ideal) if ideal.ndim == 1 else ideal
+        tomo_plan = plan(circuit.n_qubits)
+        histograms = {
+            setting: sample(with_basis_change(circuit, setting), 8192, NOISE, 3, stream=index)
+            for index, setting in enumerate(tomo_plan.settings)
+        }
+        raw = reconstruct(expectations_from_counts(tomo_plan, histograms))
+        physical, clipped = qmath.make_physical(raw)
+        assert np.array_equal(report.raw, raw)
+        assert np.array_equal(report.physical, physical)
+        assert report.fidelity_to_ideal == qmath.fidelity(ideal_m, raw)
+        assert report.deviation == qmath.deviation(ideal_m, raw)
+        assert report.purity == qmath.purity(raw)
+        assert report.clipped == clipped

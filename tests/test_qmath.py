@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from belldisc import qmath
 from belldisc.errors import (
+    BelldiscError,
     DimensionMismatch,
     GrosslyNonHermitian,
     NotHermitian,
     NotSquare,
     StronglyNonPositive,
 )
+import dense_oracle as oracle
+from belldisc.refdata import EMBEDDED_LABELS, HERMITICITY_TOL, ideal_state, load_matrix
 from conftest import random_density, random_state
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -150,6 +153,116 @@ class TestFidelity:
         with pytest.raises(NotHermitian):
             qmath.fidelity(rho, raw)
         assert qmath.fidelity(rho, raw, herm_tol=2e-3) == pytest.approx(1.0, abs=1e-3)
+
+
+def _outcome(f, rho1, rho2):
+    """The value of ``f``, or the type of the package error it raises."""
+    try:
+        return f(rho1, rho2)
+    except BelldiscError as exc:
+        return type(exc)
+
+
+def _raw_like(rng: np.random.Generator, dim: int, spread: float) -> np.ndarray:
+    """A state plus a Hermitian error of the given spread: nonpositive once the spread passes its spectrum."""
+    e = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return random_density(rng, dim) + spread * (e + e.conj().T) / 2
+
+
+class TestFidelityWithoutDiagonalization:
+    """A pure rho1 is read without ``eigh``; the oracle diagonalizes every rho1."""
+
+    @given(st.integers(1, 4), seeds, st.floats(0.0, 2 * np.pi), st.floats(0.0, 1.0))
+    @settings(deadline=None, max_examples=80)
+    def test_pure_rho1_matches_the_oracle(self, n, seed, phase, spread):
+        rng = np.random.default_rng(seed)
+        rho1 = qmath.projector(np.exp(1j * phase) * random_state(rng, 2 ** n))
+        rho2 = _raw_like(rng, 2 ** n, spread)
+        assert abs(qmath.fidelity(rho1, rho2) - oracle.fidelity(rho1, rho2)) <= 1e-12
+
+    @pytest.mark.parametrize("label", EMBEDDED_LABELS)
+    def test_published_matrices_match_the_oracle(self, label):
+        lm = load_matrix(label)
+        for token in ("psi_plus_0", "phi_minus_1", lm.ideal):
+            rho1 = qmath.projector(ideal_state(token))
+            got = qmath.fidelity(rho1, lm.matrix, herm_tol=HERMITICITY_TOL)
+            assert abs(got - oracle.fidelity(rho1, lm.matrix, herm_tol=HERMITICITY_TOL)) <= 1e-12
+
+    @given(st.integers(1, 4), seeds, st.floats(0.0, 1.0))
+    @settings(deadline=None, max_examples=40)
+    def test_near_pure_rho1_matches_the_oracle(self, n, seed, spread):
+        rng = np.random.default_rng(seed)
+        d = 2 ** n
+        rho1 = (1 - 1e-10) * qmath.projector(random_state(rng, d)) + 1e-10 * np.eye(d) / d
+        rho2 = _raw_like(rng, d, spread)
+        assert abs(qmath.fidelity(rho1, rho2) - oracle.fidelity(rho1, rho2)) <= 1e-12
+
+    @given(st.integers(1, 4), seeds, st.floats(0.0, 1.0), st.floats(0.05, 0.999))
+    @settings(deadline=None, max_examples=60)
+    def test_mixed_rho1_is_bitwise_the_oracle(self, n, seed, spread, scale):
+        rng = np.random.default_rng(seed)
+        d = 2 ** n
+        rho2 = _raw_like(rng, d, spread)
+        # a rank-1 rho1 of trace below 1 is not |psi><psi| either
+        for rho1 in (random_density(rng, d, int(rng.integers(2, d + 1))), scale * qmath.projector(random_state(rng, d))):
+            assert qmath.fidelity(rho1, rho2) == oracle.fidelity(rho1, rho2)
+
+    @given(st.integers(1, 3), seeds, st.sampled_from(
+        ["rho1 asymmetric", "rho2 asymmetric", "rho1 negative", "rho1 negated",
+         "rho1 not square", "rho2 not square", "rho1 a vector", "dimensions differ"]))
+    @settings(deadline=None, max_examples=80)
+    def test_same_errors_as_the_oracle(self, n, seed, defect):
+        rng = np.random.default_rng(seed)
+        d = 2 ** n
+        psi = random_state(rng, d)
+        rho1, rho2 = qmath.projector(psi), random_density(rng, d)
+        if defect == "rho1 asymmetric":
+            rho1[0, -1] += 1e-5 + 1e-5j
+        elif defect == "rho2 asymmetric":
+            rho2[-1, 0] += 1e-3
+        elif defect == "rho1 negative":
+            phi = random_state(rng, d)
+            phi -= (psi.conj() @ phi) * psi  # orthogonal to psi, so the eigenvalue is -1e-4
+            rho1 = (1 + 1e-4) * rho1 - 1e-4 * qmath.projector(phi / np.linalg.norm(phi))
+        elif defect == "rho1 negated":
+            rho1 = -rho1
+        elif defect == "rho1 not square":
+            rho1 = np.hstack([rho1, rho1[:, :1]])
+        elif defect == "rho2 not square":
+            rho2 = rho2[:-1]
+        elif defect == "rho1 a vector":
+            rho1 = psi
+        else:
+            rho2 = np.kron(rho2, np.eye(2) / 2)
+        expected = _outcome(oracle.fidelity, rho1, rho2)
+        assert isinstance(expected, type), defect
+        assert _outcome(qmath.fidelity, rho1, rho2) is expected
+
+    def test_pure_rho1_needs_no_diagonalization(self, monkeypatch):
+        def eigh(a):
+            raise AssertionError("eigh called on a pure rho1")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        rng = np.random.default_rng(5)
+        raw = load_matrix("phi_plus_0.phase").matrix
+        for token in ("psi_plus_0", "psi_minus_1", "phi_plus_0", "phi_minus_1"):
+            assert 0.0 <= qmath.fidelity(qmath.projector(ideal_state(token)), raw, herm_tol=HERMITICITY_TOL) <= 1.0
+        for n in range(1, 5):
+            psi = 1j * random_state(rng, 2 ** n)
+            assert qmath.fidelity(qmath.projector(psi), qmath.projector(psi)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_rho1_takes_the_diagonalization(self):
+        zero = np.zeros((4, 4), dtype=complex)
+        assert qmath.fidelity(zero, np.eye(4) / 4) == oracle.fidelity(zero, np.eye(4) / 4) == 0.0
+
+
+class TestAsymmetry:
+    def test_largest_entry_of_m_minus_its_adjoint(self):
+        m = np.array([[1, 2 + 1j], [2 - 0.5j, 3j]])
+        assert qmath.asymmetry(m) == 6.0  # |3j - conj(3j)|; the off-diagonal pair differs by 0.5
+
+    def test_hermitian_matrix_has_none(self):
+        assert qmath.asymmetry(random_density(np.random.default_rng(3), 8)) == 0.0
 
 
 class TestPurity:

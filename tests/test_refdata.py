@@ -158,6 +158,42 @@ class TestFileLoading:
         with pytest.raises(ParseError):
             load_matrix(path)
 
+    def _write(self, tmp_path, payload: dict):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    @pytest.mark.parametrize("ideal", ["psi_plus_00", "psi+", "", "psi_plus"])
+    def test_unknown_ideal_token(self, tmp_path, ideal):
+        path = self._write(tmp_path, matrix_json_dict("x", ideal, np.eye(8) / 8))
+        with pytest.raises(ParseError, match="ideal-state token"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("label,ideal,stage_name", [
+        ("psi_plus_0.parity", "psi_plus_0", "phase"),  # the stage disagrees
+        ("psi_plus_0.parity", "phi_plus_0", "parity"),  # the ideal disagrees
+        ("psi_plus_0.prep", "psi_plus_1", ""),  # both disagree
+    ])
+    def test_label_disagreeing_with_ideal_or_stage(self, tmp_path, label, ideal, stage_name):
+        path = self._write(tmp_path, matrix_json_dict(label, ideal, np.eye(8) / 8, stage=stage_name))
+        with pytest.raises(ParseError, match="disagrees"):
+            load_matrix(path)
+
+    def test_missing_stage_comes_from_the_label(self, tmp_path):
+        payload = matrix_json_dict("psi_minus_1.phase", "psi_minus_1", np.eye(8) / 8, stage="phase")
+        del payload["stage"]
+        assert load_matrix(self._write(tmp_path, payload)).stage == "phase"
+        payload["ideal"] = "psi_minus_0"
+        with pytest.raises(ParseError, match="disagrees"):
+            load_matrix(self._write(tmp_path, payload))
+
+    @pytest.mark.parametrize("label", ["x", "run.7", "psi_plus_0.combined", "psi_plus_0"])
+    def test_free_form_labels_load(self, tmp_path, label):
+        payload = matrix_json_dict(label, "phi_minus_1", np.eye(8) / 8)
+        del payload["stage"]
+        lm = load_matrix(self._write(tmp_path, payload))
+        assert (lm.label, lm.ideal, lm.stage) == (label, "phi_minus_1", "")
+
     def test_asymmetry_beyond_tolerance(self, tmp_path):
         m = np.eye(8, dtype=complex) / 8
         m[0, 1] = 0.01  # no conjugate partner

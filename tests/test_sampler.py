@@ -262,6 +262,15 @@ class TestCdfGrid:
             exact = np.array(list(exact_distribution(with_basis_change(c, setting), noise).values()))
             assert np.abs(law - exact).max() <= 1e-12, setting
 
+    @given(st.integers(1, 16), st.integers(1, 81), st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=60)
+    def test_grid_law_is_the_difference_of_the_rounded_cdf(self, outcomes, rows, seed):
+        probs = np.random.default_rng(seed).dirichlet(np.ones(outcomes), rows)
+        before = probs.copy()
+        cdf = np.rint(np.cumsum(probs, axis=-1) * 2.0 ** 32) / 2.0 ** 32
+        assert np.array_equal(belldisc.sampler._on_grid(probs), np.diff(cdf, axis=-1, prepend=0.0))
+        assert np.array_equal(probs, before)
+
     @pytest.mark.parametrize("probs", [[0.5, 0.0, 0.0, 0.5], [0.25] * 4, [0.25, 0.375, 0.375], [0.125] * 8])
     def test_round_off_does_not_change_the_counts(self, probs):
         # numpy's binomial switches branch when its ratio passes 0.5, so
