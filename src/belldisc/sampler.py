@@ -150,17 +150,15 @@ def _depolarizing(noise: NoiseModel, kind: str) -> float:
     return noise.per_cnot_depolarizing if kind == "CNOT" else noise.per_gate_depolarizing
 
 
-def _channels(noise: NoiseModel) -> dict[int, dict[tuple, np.ndarray]]:
-    """Each gate kind followed by its depolarizing channel, lifted as :func:`lift` does.
+def _channels(noise: NoiseModel, width: int) -> dict[tuple, np.ndarray]:
+    """Each gate kind followed by its depolarizing channel, in a run of ``width`` qubits as :func:`lift` keys it.
 
     Full replacement after a gate forgets the gate, so the pair is
     (1 - p) U (x) U* + p |I>><<I| / 2^k, |I>> the identity flattened like rho.
     """
-    out = {}
-    for width, (keys, conjugation) in _CONJUGATION.items():
-        p = np.array([_depolarizing(noise, kind) for kind, _ in keys])[:, None, None]
-        out[width] = dict(zip(keys, (1.0 - p) * conjugation + p * _REPLACEMENT[width][1]))
-    return out
+    keys, conjugation = _CONJUGATION[width]
+    p = np.array([_depolarizing(noise, kind) for kind, _ in keys])[:, None, None]
+    return dict(zip(keys, (1.0 - p) * conjugation + p * _REPLACEMENT[width][1]))
 
 
 def final_density(circuit: Circuit, noise: NoiseModel = IDEAL) -> np.ndarray:
@@ -172,14 +170,10 @@ def final_density(circuit: Circuit, noise: NoiseModel = IDEAL) -> np.ndarray:
     if not any(_depolarizing(noise, g.kind) for g in circuit.gates):
         return qmath.projector(simulate(circuit))
     n = circuit.n_qubits
-    rho = evolve(qmath.ket("00" * n).reshape((4,) * n), circuit.gates, _channels(noise))  # from |0..0><0..0|
+    channels = {width: _channels(noise, width) for width in _CONJUGATION}
+    rho = evolve(qmath.ket("00" * n).reshape((4,) * n), circuit.gates, channels)  # from |0..0><0..0|
     rows_first = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     return rho.reshape((2,) * (2 * n)).transpose(rows_first).reshape(2 ** n, 2 ** n)
-
-
-def _normalized(probs: np.ndarray) -> np.ndarray:
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def _readout(t: np.ndarray, r: float, axis: int) -> np.ndarray:
@@ -194,7 +188,8 @@ def _law(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     n = circuit.n_qubits
     probs = np.real(np.diag(final_density(circuit, noise))).reshape((2,) * n)
     probs = probs.sum(axis=tuple(q for q in range(n) if q not in circuit.measured))
-    probs = _normalized(probs.reshape(-1)).reshape(probs.shape)
+    probs = np.clip(probs, 0.0, None)
+    probs /= probs.sum()
     for axis in range(probs.ndim):
         probs = _readout(probs, noise.readout_flip, axis)
     return probs.reshape(-1)
@@ -260,10 +255,7 @@ def sample(
 
 # Pre-measurement rotations of each basis, applied in this order.
 _BASIS_CHANGE = {"X": ("H",), "Y": ("SDG", "H"), "Z": ()}
-
-# P[s, b, i, j] = U_s[b, i] conj(U_s[b, j]), U_s the product of basis s's rotations: its noise-free measurement.
-_BASIS_PROJECTORS = np.stack([np.einsum("bi,bj->bij", u, u.conj()) for u in (
-    reduce(lambda u, kind: GATE_MATRICES[kind] @ u, gates, np.eye(2)) for gates in _BASIS_CHANGE.values())])
+_DIAGONAL = np.eye(4)[[0, 3]]  # rows (b, b) of a one-qubit (row, column) axis: Z-basis outcome b
 
 
 def sample_settings(
@@ -274,18 +266,19 @@ def sample_settings(
     Row i equals ``sample(with_basis_change(circuit, setting_i), ..., stream=i)``: the noisy
     rotation and readout of each qubit act on it alone, so each qubit's (row, column) pair of rho
     is one matmul with M[s, b, i, j] = <b| E_s(|i><j|) |b>, read out on its axis b by ``_readout``.
-    Basis s rotates by U_s through g_s gates (0 for Z, 1 for X, 2 for Y), each depolarized by
-    p = per_gate_depolarizing: M = k U_s[b, i] conj(U_s[b, j]) + (1 - k) delta_ij / 2, k = (1 - p)^g_s.
+    E_s is basis s's rotations, each with its noise, as the one-qubit :func:`_channels` that
+    ``evolve`` applies: M[s, b] is the Z-outcome row (b, b) multiplied through them.
     """
     n = circuit.n_qubits
     if n > MAX_TOMOGRAPHY_QUBITS:
         raise TooManyQubits(f"{n} qubits would need 3^{n} settings")
     shots = _check_shots(shots)
-    k = np.array([(1.0 - noise.per_gate_depolarizing) ** len(g) for g in _BASIS_CHANGE.values()])[:, None, None, None]
-    m = k * _BASIS_PROJECTORS + (1.0 - k) * np.eye(2) / 2
+    single = _channels(noise, 1)
+    m = np.array([reduce(lambda e, kind: e @ single[kind, 0], gates[::-1], _DIAGONAL)
+                  for gates in _BASIS_CHANGE.values()]).reshape(3, 2, 2, 2)
     rho = final_density(circuit, noise).reshape((2,) * (2 * n))
     law = qmath.contract_qubits(rho, _readout(m, noise.readout_flip, 1), n, 2)
-    return _draw(_normalized(law.real.reshape(3 ** n, 2 ** n)), shots, _key("seed", seed), range(3 ** n))
+    return _draw(law.real.reshape(3 ** n, 2 ** n), shots, _key("seed", seed), range(3 ** n))
 
 
 def with_basis_change(circuit: Circuit, setting: str) -> Circuit:
@@ -300,8 +293,8 @@ def with_basis_change(circuit: Circuit, setting: str) -> Circuit:
         )
     if "I" in setting:
         raise IdentityInSetting(f"setting {setting!r} contains identity")
-    if any(ch not in "XYZ" for ch in setting):
-        raise ValueError(f"setting {setting!r} has letters outside X, Y, Z")
+    if any(ch not in _BASIS_CHANGE for ch in setting):
+        raise ValueError(f"setting {setting!r} has letters outside {', '.join(_BASIS_CHANGE)}")
     n = circuit.n_qubits
     rotations = tuple(Gate(kind, q) for q, ch in enumerate(setting) for kind in _BASIS_CHANGE[ch])
     return circuit.extend(Circuit(n, rotations, frozenset(range(n))))

@@ -271,6 +271,22 @@ class TestCdfGrid:
         assert np.array_equal(belldisc.sampler._on_grid(probs), np.diff(cdf, axis=-1, prepend=0.0))
         assert np.array_equal(probs, before)
 
+    @given(st.integers(2, 16), st.integers(1, 81), st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=60)
+    def test_unnormalized_law_needs_no_separate_pass(self, outcomes, rows, seed):
+        # sample_settings draws its contracted law as it comes: off 1 by round-off, one entry just below 0
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(outcomes), rows)
+        below = rng.integers(outcomes, size=rows)
+        probs[np.arange(rows), below] = 0.0
+        probs /= probs.sum(axis=-1, keepdims=True)
+        probs[np.arange(rows), below] = -1e-17
+        probs *= 1.0 + rng.uniform(-1e-12, 1e-12, (rows, 1))
+        grid = belldisc.sampler._on_grid(probs)
+        assert (grid >= 0.0).all() and (grid.sum(axis=-1) == 1.0).all()
+        counts = belldisc.sampler._draw(probs, 64, seed, range(rows))
+        assert (counts.sum(axis=-1) == 64).all() and not counts[np.arange(rows), below].any()
+
     @pytest.mark.parametrize("probs", [[0.5, 0.0, 0.0, 0.5], [0.25] * 4, [0.25, 0.375, 0.375], [0.125] * 8])
     def test_round_off_does_not_change_the_counts(self, probs):
         # numpy's binomial switches branch when its ratio passes 0.5, so
@@ -326,17 +342,20 @@ class TestSampleSettings:
         assert len(built) <= 1
 
     def test_builds_channels_once(self):
-        channels, calls = belldisc.sampler._channels, []
+        # the density's two widths and the setting law's one width, however many settings
+        channels, calls = belldisc.sampler._channels, {}
 
-        def counting(noise):
-            calls.append(noise)
-            return channels(noise)
+        def counting(noise, width):
+            calls[c.n_qubits].append(width)
+            return channels(noise, width)
 
-        c = bell_prep(BellKind.PSI_PLUS).extend(parity_check())
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(belldisc.sampler, "_channels", counting)
-            sample_settings(c, 64, NoiseModel(0.02, 0.05, 0.02))
-        assert len(calls) == 1
+            for c in (bell_prep(BellKind.PSI_PLUS).extend(parity_check()),
+                      bell_prep(BellKind.PSI_PLUS, n_qubits=4).extend(combined_check())):
+                calls[c.n_qubits] = []
+                sample_settings(c, 64, NoiseModel(0.02, 0.05, 0.02))
+        assert {n: sorted(widths) for n, widths in calls.items()} == {3: [1, 1, 2], 4: [1, 1, 2]}
 
 
 class TestRelabelling:
