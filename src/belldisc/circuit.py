@@ -156,7 +156,8 @@ def lift(matrices: dict[str, np.ndarray]) -> dict[int, dict[tuple, np.ndarray]]:
     """Each gate kind's matrix embedded in a run of one or two qubits, the first most significant.
 
     Keyed by run width, then by (kind, run position of the gate's first qubit:
-    a CNOT's control).  A qubit takes 2 values, or 4 for a channel (row, column).
+    a CNOT's control).  A qubit takes 2 values, or 4 for a Pauli transfer matrix
+    (letters I, X, Y, Z).
     """
     d, eye, cnot = len(matrices["H"]), np.eye(len(matrices["H"])), matrices["CNOT"]
     one = {(kind, 0): m for kind, m in matrices.items() if kind != "CNOT"}
@@ -166,7 +167,17 @@ def lift(matrices: dict[str, np.ndarray]) -> dict[int, dict[tuple, np.ndarray]]:
     return {1: one, 2: two}
 
 
-_UNITARIES = lift(GATE_MATRICES)
+# The lifted gate matrices per dtype: float64 serves circuits of real gates only (H, X, CNOT).
+_UNITARIES = {
+    complex: lift(GATE_MATRICES),
+    float: lift({kind: m.real for kind, m in GATE_MATRICES.items() if not m.imag.any()}),
+}
+
+
+def _dtype(gates) -> type:
+    """float when every gate's matrix is real, so the gates evolve in float64; complex otherwise."""
+    real = _UNITARIES[float][2]
+    return float if all((g.kind, 0) in real for g in gates) else complex
 
 
 def evolve(t: np.ndarray, gates, lifted: dict[int, dict[tuple, np.ndarray]]) -> np.ndarray:
@@ -195,24 +206,32 @@ def evolve(t: np.ndarray, gates, lifted: dict[int, dict[tuple, np.ndarray]]) -> 
 
 
 def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
-    """Final state vector, evolved as a (2,)*n tensor; measurement markers are ignored."""
+    """Final state vector, evolved as a (2,)*n tensor; measurement markers are ignored.
+
+    From |0...0>, a circuit of real gates evolves in float64; the result is complex either way.
+    """
     dim = 2 ** circuit.n_qubits
     if initial is None:
-        state = qmath.ket("0" * circuit.n_qubits)
+        dtype = _dtype(circuit.gates)
+        state = np.eye(dim, 1, dtype=dtype)  # |0...0>
     else:
-        state = np.array(initial, dtype=complex).reshape(-1)
+        dtype, state = complex, np.array(initial, dtype=complex).reshape(-1)
         if state.shape[0] != dim:
             raise DimensionMismatch(f"initial state has dim {state.shape[0]}, circuit needs {dim}")
-    return evolve(state.reshape((2,) * circuit.n_qubits), circuit.gates, _UNITARIES).reshape(-1)
+    psi = evolve(state.reshape((2,) * circuit.n_qubits), circuit.gates, _UNITARIES[dtype])
+    return psi.reshape(-1).astype(complex, copy=False)
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
-    """Full unitary of a measurement-free circuit: the identity evolved, its column axes carried along."""
+    """Full unitary of a measurement-free circuit: the identity evolved, its column axes carried along.
+
+    A circuit of real gates evolves in float64; the result is complex either way.
+    """
     if circuit.measured:
         raise HasMeasurements("circuit has measurement markers")
-    n = circuit.n_qubits
-    u = evolve(np.eye(2 ** n, dtype=complex).reshape((2,) * (2 * n)), circuit.gates, _UNITARIES)
-    return u.reshape(2 ** n, 2 ** n)
+    n, dtype = circuit.n_qubits, _dtype(circuit.gates)
+    u = evolve(np.eye(2 ** n, dtype=dtype).reshape((2,) * (2 * n)), circuit.gates, _UNITARIES[dtype])
+    return u.reshape(2 ** n, 2 ** n).astype(complex, copy=False)
 
 
 def equivalent_up_to_phase(u1: np.ndarray, u2: np.ndarray, atol: float = qmath.ALGEBRAIC_TOL) -> bool:

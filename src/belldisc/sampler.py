@@ -10,22 +10,27 @@ strength ``p`` is the full-replacement probability,
 equivalent to each of the 4^k - 1 non-identity Pauli errors occurring with
 probability p / 4^k, so p = 1 leaves the touched qubits maximally mixed.
 
-rho is evolved as a (4,)*n tensor, one (row, column) axis per qubit, by
-:func:`belldisc.circuit.evolve`: each maximal run of gates on at most two
-qubits, with their channels, is one matrix applied to its qubits' axes.  A
-circuit whose gates carry no depolarizing noise is evolved as a 2^n state
-vector.  Seeds and streams are integers taken modulo 2^64.  ``_readout`` folds
-the flip of one bit into a law, on that bit's axis: ``exact_distribution`` is
+A noisy rho is evolved as its real Pauli coefficients c_L = tr(P_L rho), a
+(4,)*n tensor with one axis per qubit (letters I, X, Y, Z), by
+:func:`belldisc.circuit.evolve`: each gate and its channel is one real Pauli
+transfer matrix, and each maximal run of them on at most two qubits is one
+matrix applied to its qubits' axes.  rho = sum_L c_L P_L / 2^n is formed only
+by ``final_density``; a Z outcome b of a qubit has probability (c_I +- c_Z) / 2
+on its axis.  A circuit whose gates carry no depolarizing noise is evolved as
+a 2^n state vector, and its law is |psi|^2.  Seeds and streams are integers
+taken modulo 2^64.  ``_readout`` folds the flip of one bit into a law, on that
+bit's axis: ``exact_distribution`` is
 the post-readout law, and ``sample`` draws it in one multinomial draw keyed by
 ``(seed, stream)``, its CDF rounded to multiples of 2^-32 so that laws differing
 only by round-off draw the same counts.  ``sample_settings`` draws all Pauli
 settings of a tomography from one evolution, count for count as ``sample``: each
-qubit's (row, column) pair of rho is one matmul with the setting law of that
+qubit's axis of the Pauli coefficients is one matmul with the setting law of that
 qubit, basis change and readout flip together, and one Philox bit generator is
 re-keyed per setting.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, fields
 from functools import reduce
@@ -129,51 +134,67 @@ def _check_shots(shots) -> int:
     return int(shots)
 
 
-def _lifted(channels: dict[str, np.ndarray]) -> dict[int, tuple[tuple, np.ndarray]]:
-    """:func:`lift` of channels re-laid per qubit (row q0, col q0, row q1, ...): keys, stack per width."""
-    per_qubit = {}
-    for kind, m in channels.items():
-        k = len(m).bit_length() // 2
-        order = [i + j * k for i in range(k) for j in range(2)]
-        per_qubit[kind] = m.reshape((2,) * 4 * k).transpose(order + [2 * k + o for o in order]).reshape(m.shape)
-    return {width: (tuple(table), np.stack(tuple(table.values()))) for width, table in lift(per_qubit).items()}
+def _pauli_transfer(u: np.ndarray) -> np.ndarray:
+    """R[i, j] = tr(P_i U P_j U^+) / 2^k over the k-qubit Pauli strings, letters IXYZ in qubit order.
+
+    Every gate kind is a Clifford, so R is a signed permutation: rounding takes off only the
+    round-off of H's 1/sqrt(2) entries, and the identity row stays e_0, so the trace stays 1.
+    """
+    k = len(u).bit_length() - 1
+    paulis = np.array([qmath.pauli_operator("".join(s)) for s in itertools.product("IXYZ", repeat=k)])
+    return np.rint(np.einsum("aij,jk,bkl,il->ab", paulis, u, paulis, u.conj()).real / len(u))
 
 
-_CONJUGATION = _lifted({kind: np.kron(u, u.conj()) for kind, u in GATE_MATRICES.items()})
-_REPLACEMENT = _lifted({
-    kind: np.outer(np.eye(len(u)).ravel(), np.eye(len(u)).ravel()) / len(u)
-    for kind, u in GATE_MATRICES.items()
-})
+def _stacked(matrices: dict[str, np.ndarray]) -> dict[int, tuple[tuple, np.ndarray]]:
+    """:func:`lift` of ``matrices``: its keys and its stacked matrices, per run width."""
+    return {width: (tuple(table), np.stack(tuple(table.values()))) for width, table in lift(matrices).items()}
+
+
+_PAULI_TRANSFER = _stacked({kind: _pauli_transfer(u) for kind, u in GATE_MATRICES.items()})
+# |I><I| on the touched qubits: keeps the trace and forgets the rest
+_REPLACEMENT = _stacked({kind: np.diag(np.eye(len(u) ** 2)[0]) for kind, u in GATE_MATRICES.items()})
+_OUTCOMES = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0]]) / 2  # Z outcome b: (c_I +- c_Z) / 2
+_PAULI_MATRICES = qmath.PAULI_BASIS.transpose(1, 2, 0) / 2  # (row, column, letter): rho = sum_L c_L P_L / 2^n
 
 
 def _depolarizing(noise: NoiseModel, kind: str) -> float:
     return noise.per_cnot_depolarizing if kind == "CNOT" else noise.per_gate_depolarizing
 
 
+def _pure(circuit: Circuit, noise: NoiseModel) -> bool:
+    """Whether no gate of the circuit carries depolarizing noise, so its state stays a vector."""
+    return not any(_depolarizing(noise, g.kind) for g in circuit.gates)
+
+
 def _channels(noise: NoiseModel, width: int) -> dict[tuple, np.ndarray]:
     """Each gate kind followed by its depolarizing channel, in a run of ``width`` qubits as :func:`lift` keys it.
 
-    Full replacement after a gate forgets the gate, so the pair is
-    (1 - p) U (x) U* + p |I>><<I| / 2^k, |I>> the identity flattened like rho.
+    Full replacement after a gate forgets the gate, so the pair's Pauli transfer
+    matrix is (1 - p) R_U + p |I><I|.
     """
-    keys, conjugation = _CONJUGATION[width]
+    keys, transfer = _PAULI_TRANSFER[width]
     p = np.array([_depolarizing(noise, kind) for kind, _ in keys])[:, None, None]
-    return dict(zip(keys, (1.0 - p) * conjugation + p * _REPLACEMENT[width][1]))
+    return dict(zip(keys, (1.0 - p) * transfer + p * _REPLACEMENT[width][1]))
+
+
+def _coefficients(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
+    """The Pauli coefficients c_L = tr(P_L rho) after the noisy gates: a real (4,)*n tensor, axis q the letter of qubit q."""
+    n = circuit.n_qubits
+    c = np.zeros((4,) * n)
+    c[(slice(None, None, 3),) * n] = 1.0  # |0..0><0..0|: 1 for every L in {I, Z}^n
+    return evolve(c, circuit.gates, {width: _channels(noise, width) for width in _PAULI_TRANSFER})
 
 
 def final_density(circuit: Circuit, noise: NoiseModel = IDEAL) -> np.ndarray:
     """Density matrix after the gates and their noise channels.
 
-    Without depolarizing noise it is |psi><psi| of a 2^n state vector; otherwise rho
-    is evolved as (4,)*n, axis q the (row, column) pair of qubit q, and made rows first on return.
+    Without depolarizing noise it is |psi><psi| of a 2^n state vector; otherwise it is
+    sum_L c_L P_L / 2^n over the real Pauli coefficients c of :func:`_coefficients`.
     """
-    if not any(_depolarizing(noise, g.kind) for g in circuit.gates):
+    if _pure(circuit, noise):
         return qmath.projector(simulate(circuit))
     n = circuit.n_qubits
-    channels = {width: _channels(noise, width) for width in _CONJUGATION}
-    rho = evolve(qmath.ket("00" * n).reshape((4,) * n), circuit.gates, channels)  # from |0..0><0..0|
-    rows_first = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return rho.reshape((2,) * (2 * n)).transpose(rows_first).reshape(2 ** n, 2 ** n)
+    return qmath.contract_qubits(_coefficients(circuit, noise), _PAULI_MATRICES, n, 1).reshape(2 ** n, 2 ** n)
 
 
 def _readout(t: np.ndarray, r: float, axis: int) -> np.ndarray:
@@ -186,8 +207,12 @@ def _law(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     if not circuit.measured:
         raise NoMeasurements("circuit has no measured qubits")
     n = circuit.n_qubits
-    probs = np.real(np.diag(final_density(circuit, noise))).reshape((2,) * n)
-    probs = probs.sum(axis=tuple(q for q in range(n) if q not in circuit.measured))
+    if _pure(circuit, noise):
+        psi = simulate(circuit).reshape((2,) * n)
+        probs = (psi * psi.conj()).real.sum(axis=tuple(q for q in range(n) if q not in circuit.measured))
+    else:  # the unmeasured qubits traced out: their letter I
+        c = _coefficients(circuit, noise)[tuple(slice(None) if q in circuit.measured else 0 for q in range(n))]
+        probs = qmath.contract_qubits(c, _OUTCOMES, c.ndim, 1)
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
     for axis in range(probs.ndim):
@@ -255,7 +280,6 @@ def sample(
 
 # Pre-measurement rotations of each basis, applied in this order.
 _BASIS_CHANGE = {"X": ("H",), "Y": ("SDG", "H"), "Z": ()}
-_DIAGONAL = np.eye(4)[[0, 3]]  # rows (b, b) of a one-qubit (row, column) axis: Z-basis outcome b
 
 
 def sample_settings(
@@ -264,21 +288,21 @@ def sample_settings(
     """Counts (3^n, 2^n) of all Pauli settings in ``tomography.plan`` order, from one evolution.
 
     Row i equals ``sample(with_basis_change(circuit, setting_i), ..., stream=i)``: the noisy
-    rotation and readout of each qubit act on it alone, so each qubit's (row, column) pair of rho
-    is one matmul with M[s, b, i, j] = <b| E_s(|i><j|) |b>, read out on its axis b by ``_readout``.
-    E_s is basis s's rotations, each with its noise, as the one-qubit :func:`_channels` that
-    ``evolve`` applies: M[s, b] is the Z-outcome row (b, b) multiplied through them.
+    rotation and readout of each qubit act on it alone, so each qubit's axis of the Pauli
+    coefficients is one matmul with M[s, b, l], the probability of outcome b in basis s
+    per unit of coefficient l, read out on its axis b by ``_readout``.  M[s, b] is the
+    Z-outcome row (c_I +- c_Z) / 2 multiplied through basis s's rotations, each with its
+    noise, as the one-qubit :func:`_channels` that ``evolve`` applies.
     """
     n = circuit.n_qubits
     if n > MAX_TOMOGRAPHY_QUBITS:
         raise TooManyQubits(f"{n} qubits would need 3^{n} settings")
     shots = _check_shots(shots)
     single = _channels(noise, 1)
-    m = np.array([reduce(lambda e, kind: e @ single[kind, 0], gates[::-1], _DIAGONAL)
-                  for gates in _BASIS_CHANGE.values()]).reshape(3, 2, 2, 2)
-    rho = final_density(circuit, noise).reshape((2,) * (2 * n))
-    law = qmath.contract_qubits(rho, _readout(m, noise.readout_flip, 1), n, 2)
-    return _draw(law.real.reshape(3 ** n, 2 ** n), shots, _key("seed", seed), range(3 ** n))
+    m = np.array([reduce(lambda e, kind: e @ single[kind, 0], gates[::-1], _OUTCOMES)
+                  for gates in _BASIS_CHANGE.values()])
+    law = qmath.contract_qubits(_coefficients(circuit, noise), _readout(m, noise.readout_flip, 1), n, 1)
+    return _draw(law.reshape(3 ** n, 2 ** n), shots, _key("seed", seed), range(3 ** n))
 
 
 def with_basis_change(circuit: Circuit, setting: str) -> Circuit:

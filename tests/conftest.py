@@ -46,10 +46,14 @@ def random_circuit(rng: np.random.Generator, n_qubits: int, max_gates: int) -> C
     return c
 
 
+REAL_KINDS = ("H", "X", "CNOT")  # the gates whose matrices are real: these circuits evolve in float64
+
+
 @st.composite
-def circuits(draw, max_qubits: int = 5, max_gates: int = 12, n_qubits: int | None = None) -> Circuit:
+def circuits(draw, max_qubits: int = 5, max_gates: int = 12, n_qubits: int | None = None,
+             kinds: tuple[str, ...] = ("H", "X", "S", "SDG", "CNOT")) -> Circuit:
     n = n_qubits or draw(st.integers(1, max_qubits))
-    kinds = ["H", "X", "S", "SDG"] + (["CNOT"] if n > 1 else [])
+    kinds = [kind for kind in kinds if kind != "CNOT" or n > 1]
     gates = []
     for _ in range(draw(st.integers(0, max_gates))):
         kind = draw(st.sampled_from(kinds))

@@ -5,7 +5,9 @@ Every gate here is a full 2^n x 2^n matrix, depolarizing conjugates rho by all
 once per setting and estimates each coefficient with a loop over outcome
 strings, and fidelity diagonalizes its first argument every time.  This is
 slow and obviously correct; the package's tensor kernels, batched tomography
-and pure-state fidelity must agree with it.  ``sample_per_shot`` draws the
+and pure-state fidelity must agree with it.  ``superoperator`` is a gate and
+its channel acting on rho's entries, the complex form whose real Pauli-basis
+image the package's channel tables must be.  ``sample_per_shot`` draws the
 same law shot by shot, so the law tests can check both draws.  Nothing under
 ``src/`` imports this module.
 """
@@ -57,6 +59,26 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     for g in circuit.gates:
         u = gate_unitary(g, circuit.n_qubits) @ u
     return u
+
+
+def superoperator(u: np.ndarray, p: float) -> np.ndarray:
+    """A gate and its depolarizing channel on rho's entries, laid out (row q0, column q0, row q1, ...).
+
+    (1 - p) U (x) U* + p |I>><<I| / d, with |I>> the identity flattened like rho:
+    full replacement after a gate forgets the gate.
+    """
+    d = len(u)
+    k = d.bit_length() - 1
+    identity = np.eye(d).ravel()
+    m = (1.0 - p) * np.kron(u, u.conj()) + p * np.outer(identity, identity) / d
+    order = [i + j * k for i in range(k) for j in range(2)]
+    return m.reshape((2,) * 4 * k).transpose(order + [2 * k + o for o in order]).reshape(m.shape)
+
+
+def pauli_change_of_basis(k: int) -> np.ndarray:
+    """T with c = T vec(rho): row L holds tr(P_L rho) = sum_rc P_L[c, r] rho[r, c], vec laid out as in ``superoperator``."""
+    one = np.stack([qmath.PAULI[ch].T.ravel() for ch in "IXYZ"])
+    return qmath.tensor(*[one] * k)
 
 
 def twirl_depolarize(rho: np.ndarray, qubits: tuple[int, ...], n: int, p: float) -> np.ndarray:

@@ -3,7 +3,8 @@
 ``dense_oracle`` builds every gate as a full matrix, depolarizes with the
 Pauli twirl and runs tomography one setting at a time; the package must agree
 with it to 1e-12 where only the order of floating-point operations differs,
-and exactly where the arithmetic is integer.
+and exactly where the arithmetic is integer.  Circuits of real gates evolve in
+float64 and noisy states as real Pauli coefficients, so both paths are drawn.
 """
 from __future__ import annotations
 
@@ -13,9 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import belldisc.circuit
+import belldisc.sampler
 import dense_oracle as oracle
 from belldisc import qmath
 from belldisc.circuit import (
+    GATE_KINDS,
+    GATE_MATRICES,
     BellKind,
     Circuit,
     Gate,
@@ -49,17 +53,31 @@ from belldisc.transpile import (
     device_phase_block,
     transpile,
 )
-from conftest import circuits, noise_models, random_density, random_state
+from conftest import REAL_KINDS, circuits, noise_models, probabilities, random_density, random_state
 
 TOL = 1e-12
+ANY_CIRCUIT = st.one_of(circuits(), circuits(kinds=REAL_KINDS))
+# every gate kind carries some depolarizing noise, so the Pauli-coefficient path is taken
+depolarizing = st.floats(1e-3, 1.0)
+noisy_models = st.builds(NoiseModel, depolarizing, depolarizing, probabilities)
 
 
 class TestKernelAgainstDenseOracle:
-    @given(circuits())
+    @given(ANY_CIRCUIT)
     @settings(deadline=None, max_examples=60)
     def test_simulate_and_unitary(self, c):
         assert np.abs(simulate(c) - oracle.simulate(c)).max() <= TOL
         assert np.abs(unitary_of(c) - oracle.unitary_of(c)).max() <= TOL
+
+    @given(ANY_CIRCUIT, noise_models, st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=40)
+    def test_returns_are_complex_and_fresh(self, c, noise, seed):
+        psi = random_state(np.random.default_rng(seed), 2 ** c.n_qubits).real.copy()
+        kept = psi.copy()
+        for out in (simulate(c), simulate(c, psi), unitary_of(c), final_density(c, noise)):
+            assert out.dtype == np.complex128
+            assert not np.shares_memory(out, psi)
+        assert np.array_equal(psi, kept)
 
     @given(circuits(), st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=30)
@@ -67,7 +85,7 @@ class TestKernelAgainstDenseOracle:
         psi = random_state(np.random.default_rng(seed), 2 ** c.n_qubits)
         assert np.abs(simulate(c, psi) - oracle.simulate(c, psi)).max() <= TOL
 
-    @given(circuits(), noise_models)
+    @given(ANY_CIRCUIT, noise_models)
     @settings(deadline=None, max_examples=60)
     def test_final_density(self, c, noise):
         assert np.abs(final_density(c, noise) - oracle.final_density(c, noise)).max() <= TOL
@@ -96,7 +114,11 @@ class TestFusedRoutedCircuits:
     orientations and one-qubit gates on either side of the pair."""
 
     @given(
-        st.one_of(st.sampled_from(ROUTED_BLOCKS), circuits(n_qubits=5, max_gates=6).map(transpile)),
+        st.one_of(
+            st.sampled_from(ROUTED_BLOCKS),
+            circuits(n_qubits=5, max_gates=6).map(transpile),
+            circuits(n_qubits=5, max_gates=6, kinds=REAL_KINDS).map(transpile),
+        ),
         st.one_of(st.just(IDEAL), noise_models),
         st.data(),
     )
@@ -111,20 +133,29 @@ class TestFusedRoutedCircuits:
 
 
 class TestKernelCalls:
-    """One kernel call per fused run of gates, not one per gate."""
+    """One kernel call per fused run of gates, not one per gate, in float64 wherever the numbers are real."""
 
     @staticmethod
-    def calls(run) -> int:
-        axes_seen = []
+    def record(run) -> list[tuple[np.dtype, np.dtype]]:
+        """The (state, matrix) dtypes of each kernel call that ``run`` makes."""
+        seen = []
 
-        def counting(t, u, axes):
-            axes_seen.append(axes)
+        def recording(t, u, axes):
+            seen.append((t.dtype, u.dtype))
             return apply_matrix(t, u, axes)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(belldisc.circuit, "apply_matrix", counting)
+            mp.setattr(belldisc.circuit, "apply_matrix", recording)
             run()
-        return len(axes_seen)
+        return seen
+
+    @classmethod
+    def calls(cls, run) -> int:
+        return len(cls.record(run))
+
+    @classmethod
+    def dtypes(cls, run) -> set[np.dtype]:
+        return {dtype for call in cls.record(run) for dtype in call}
 
     def test_routed_block_unitary(self):
         routed = transpile(device_combined_block())
@@ -159,6 +190,64 @@ class TestKernelCalls:
         assert self.calls(lambda: simulate(c)) <= c.gate_count
         assert self.calls(lambda: unitary_of(c)) <= c.gate_count
         assert self.calls(lambda: final_density(c, noise)) <= c.gate_count
+
+
+    @given(circuits(kinds=REAL_KINDS))
+    @settings(deadline=None, max_examples=60)
+    def test_real_gates_evolve_in_float64(self, c):
+        expected = {np.dtype(np.float64)} if c.gates else set()
+        assert self.dtypes(lambda: simulate(c)) == expected
+        assert self.dtypes(lambda: unitary_of(c)) == expected
+
+    @given(circuits(max_qubits=4), noisy_models, st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_noisy_states_evolve_in_float64(self, c, noise, data):
+        expected = {np.dtype(np.float64)} if c.gates else set()
+        measured = c.measure(*data.draw(st.sets(st.integers(0, c.n_qubits - 1), min_size=1)))
+        assert self.dtypes(lambda: final_density(c, noise)) == expected
+        assert self.dtypes(lambda: exact_distribution(measured, noise)) == expected
+        assert self.dtypes(lambda: sample_settings(c, 64, noise)) == expected
+        assert self.dtypes(lambda: sample_settings(c, 64, IDEAL)) == expected
+
+    @given(circuits(kinds=REAL_KINDS), st.sampled_from(["S", "SDG"]), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_complex_gates_or_an_initial_state_evolve_in_complex128(self, c, kind, data):
+        at = data.draw(st.integers(0, c.gate_count))
+        q = data.draw(st.integers(0, c.n_qubits - 1))
+        with_phase = Circuit(c.n_qubits, c.gates[:at] + (Gate(kind, q),) + c.gates[at:])
+        assert self.dtypes(lambda: simulate(with_phase)) == {np.dtype(np.complex128)}
+        assert self.dtypes(lambda: unitary_of(with_phase)) == {np.dtype(np.complex128)}
+        psi = qmath.ket("0" * c.n_qubits)
+        assert self.dtypes(lambda: simulate(c, psi)) == ({np.dtype(np.complex128)} if c.gates else set())
+
+
+class TestPauliTransfer:
+    """The real channel tables against the complex superoperator they replaced."""
+
+    @given(st.sampled_from(GATE_KINDS), probabilities)
+    @settings(deadline=None, max_examples=60)
+    def test_channel_is_the_superoperator_in_the_pauli_basis(self, kind, p):
+        u = GATE_MATRICES[kind]
+        k = len(u).bit_length() - 1
+        t = oracle.pauli_change_of_basis(k)
+        expected = t @ oracle.superoperator(u, p) @ t.conj().T / 2 ** k
+        new = belldisc.sampler._channels(NoiseModel(p, p), k)[kind, 0]
+        assert new.dtype == np.float64
+        assert np.abs(new - expected).max() <= 1e-15
+
+    @given(noise_models)
+    @settings(deadline=None, max_examples=30)
+    def test_identity_row_is_e0(self, noise):
+        for width in (1, 2):
+            for key, channel in belldisc.sampler._channels(noise, width).items():
+                assert np.array_equal(channel[0], np.eye(len(channel))[0]), key
+
+    @given(circuits(), noisy_models)
+    @settings(deadline=None, max_examples=60)
+    def test_noisy_density_is_hermitian_with_unit_trace(self, c, noise):
+        rho = final_density(c, noise)
+        assert qmath.asymmetry(rho) <= 1e-15
+        assert abs(np.trace(rho) - 1.0) <= 1e-15
 
 
 class TestDepolarizing:

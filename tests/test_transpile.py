@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from belldisc.circuit import Circuit, equivalent_up_to_phase, unitary_of
+from belldisc.circuit import BellKind, Circuit, Gate, bell_prep, combined_check, equivalent_up_to_phase, unitary_of
 from belldisc.errors import BadQubitIndex, ParseError, UnroutableCircuit
+from belldisc.sampler import IDEAL, NoiseModel, exact_distribution
 from belldisc.transpile import (
     DEFAULT_MAP,
     DEVICE_PARITY_ANCILLA,
@@ -19,7 +22,7 @@ from belldisc.transpile import (
     swap_conjugated_cnot,
     transpile,
 )
-from conftest import random_circuit
+from conftest import circuits, probabilities, random_circuit
 
 
 def assert_respects_map(circuit: Circuit, cmap: CouplingMap) -> None:
@@ -186,3 +189,44 @@ class TestRandomSoundness:
         for block in (device_parity_block(), device_phase_block(), device_combined_block()):
             routed = transpile(block)
             assert transpile(routed) == routed
+
+
+ROUTED_COMBINED = transpile(device_combined_block())
+
+
+def _on_system(kind: BellKind, pair_circuit: Circuit, system: tuple[int, int], n: int) -> Circuit:
+    """The Bell pair on ``system``, then a two-qubit circuit with its qubits 0 and 1 moved to ``system``."""
+    gates = tuple(Gate(g.kind, system[g.target], None if g.control is None else system[g.control])
+                  for g in pair_circuit.gates)
+    return bell_prep(kind, system, n).extend(Circuit(n, gates))
+
+
+class TestRoutedAncillaLaw:
+    """Metamorphic relations of the combined check's two ancillas, read (phase, parity)."""
+
+    @given(st.sampled_from(list(BellKind)), circuits(n_qubits=2, max_gates=8))
+    @settings(deadline=None, max_examples=40)
+    def test_routing_keeps_the_ancilla_law(self, kind, pair_circuit):
+        routed = _on_system(kind, pair_circuit, DEVICE_SYSTEM, 5).extend(ROUTED_COMBINED)
+        unrouted = _on_system(kind, pair_circuit, (0, 1), 4).extend(combined_check())
+        new = exact_distribution(routed.measure(DEVICE_PHASE_ANCILLA, DEVICE_PARITY_ANCILLA), IDEAL)
+        old = exact_distribution(unrouted.measure(2, 3), IDEAL)
+        assert new.keys() == old.keys()
+        assert max(abs(new[k] - old[k]) for k in new) <= 1e-12
+
+    @given(probabilities)
+    @settings(deadline=None, max_examples=40)
+    def test_readout_noise_permutes_the_table_1_bits(self, r):
+        noise = NoiseModel(readout_flip=r)
+        laws = {
+            kind: exact_distribution(
+                bell_prep(kind, DEVICE_SYSTEM, 5).extend(ROUTED_COMBINED).measure(
+                    DEVICE_PHASE_ANCILLA, DEVICE_PARITY_ANCILLA), noise)
+            for kind in BellKind
+        }
+        for kind, law in laws.items():
+            bits = kind.phase_bit << 1 | kind.parity_bit
+            for other, other_law in laws.items():
+                shift = bits ^ (other.phase_bit << 1 | other.parity_bit)
+                for key, p in law.items():
+                    assert abs(other_law[format(int(key, 2) ^ shift, "02b")] - p) <= 1e-12, (kind, other, key)
