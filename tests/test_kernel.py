@@ -191,7 +191,6 @@ class TestKernelCalls:
         assert self.calls(lambda: unitary_of(c)) <= c.gate_count
         assert self.calls(lambda: final_density(c, noise)) <= c.gate_count
 
-
     @given(circuits(kinds=REAL_KINDS))
     @settings(deadline=None, max_examples=60)
     def test_real_gates_evolve_in_float64(self, c):
