@@ -11,6 +11,7 @@ most significant).  Bell-pair labels follow the convention of this experiment:
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -71,6 +72,8 @@ class Gate:
 
 def _check_unmeasured(gates, measured: set[int] | frozenset[int]) -> None:
     """Raise at the first gate that touches an already measured qubit."""
+    if not measured:
+        return
     for g in gates:
         touched = set(g.qubits) & measured
         if touched:
@@ -148,60 +151,73 @@ def apply_matrix(t: np.ndarray, u: np.ndarray, axes) -> np.ndarray:
     """
     order = list(axes)
     order += [a for a in range(t.ndim) if a not in order]
-    out = (u @ t.transpose(order).reshape(len(u), -1)).reshape(t.shape)
+    out = u.dot(t.transpose(order).reshape(len(u), -1)).reshape(t.shape)
     return out.transpose(sorted(range(t.ndim), key=order.__getitem__))
 
 
+_MAX_RUN_SIDE = 16  # a run's matrix is at most 16x16: four qubits of a state, two of Pauli coefficients
+
+
 def lift(matrices: dict[str, np.ndarray]) -> dict[int, dict[tuple, np.ndarray]]:
-    """Each gate kind's matrix embedded in a run of one or two qubits, the first most significant.
+    """Each gate kind's matrix embedded in a run of w qubits, for every w whose matrix is at most 16x16.
 
-    Keyed by run width, then by (kind, run position of the gate's first qubit:
-    a CNOT's control).  A qubit takes 2 values, or 4 for a Pauli transfer matrix
-    (letters I, X, Y, Z).
+    Keyed by run width w, then by (kind, run position of each of the gate's
+    qubits: a CNOT's control first); the run's first qubit is the most
+    significant.  A qubit takes d = 2 values, or 4 for a Pauli transfer matrix
+    (letters I, X, Y, Z), so widths run 1-4 or 1-2.
     """
-    d, eye, cnot = len(matrices["H"]), np.eye(len(matrices["H"])), matrices["CNOT"]
-    one = {(kind, 0): m for kind, m in matrices.items() if kind != "CNOT"}
-    two = {(kind, 0): np.kron(m, eye) for (kind, _), m in one.items()}
-    two |= {(kind, 1): np.kron(eye, m) for (kind, _), m in one.items()}
-    two["CNOT", 0], two["CNOT", 1] = cnot, cnot.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(cnot.shape)
-    return {1: one, 2: two}
+    d, tables, width = len(matrices["H"]), {}, 1
+    while d ** width <= _MAX_RUN_SIDE:
+        tables[width] = table = {}
+        for kind, m in matrices.items():
+            for positions in itertools.permutations(range(width), _OPERANDS[kind][0]):
+                rest = [p for p in range(width) if p not in positions]
+                axes = np.argsort([*positions, *rest])  # m's qubits first, then the identity's
+                full = np.kron(m, np.eye(d ** len(rest))).reshape((d,) * 2 * width)
+                table[(kind, *positions)] = full.transpose([*axes, *(axes + width)]).reshape(d ** width, -1)
+        width += 1
+    return tables
 
 
-# The lifted gate matrices per dtype: float64 serves circuits of real gates only (H, X, CNOT).
+_REAL = {kind for kind, m in GATE_MATRICES.items() if not m.imag.any()}  # H, X and CNOT
+# The lifted gate matrices per dtype: float64 serves circuits of real gates only.
 _UNITARIES = {
     complex: lift(GATE_MATRICES),
-    float: lift({kind: m.real for kind, m in GATE_MATRICES.items() if not m.imag.any()}),
+    float: lift({kind: GATE_MATRICES[kind].real for kind in _REAL}),
 }
 
 
 def _dtype(gates) -> type:
     """float when every gate's matrix is real, so the gates evolve in float64; complex otherwise."""
-    real = _UNITARIES[float][2]
-    return float if all((g.kind, 0) in real for g in gates) else complex
+    return float if all(g.kind in _REAL for g in gates) else complex
 
 
 def evolve(t: np.ndarray, gates, lifted: dict[int, dict[tuple, np.ndarray]]) -> np.ndarray:
     """Apply ``gates`` to the leading axes of ``t``, axis q being qubit q; further axes are carried along.
 
-    The gates are split into maximal runs on at most two qubits, and each run's
-    product of ``lifted`` matrices is one :func:`apply_matrix` call.
+    The gates are split into maximal runs on at most ``max(lifted)`` qubits (four
+    for a state, two for Pauli coefficients), and each run's product of ``lifted``
+    matrices is one :func:`apply_matrix` call.
     """
-    runs, qubits = [], []
+    cap, runs, where = max(lifted), [], {}  # where: the current run's qubits, each with its position
     for g in gates:
-        touched = (g.target,) if g.control is None else (g.control, g.target)
-        new = [q for q in touched if q not in qubits]
-        if runs and len(qubits) + len(new) <= 2:
-            qubits += new
-        else:
-            qubits, keys = list(touched), []
-            runs.append((qubits, keys))
-        keys.append((g.kind, touched[0] != qubits[0]))
-    for qubits, keys in runs:
-        table = lifted[len(qubits)]
+        c, q = g.control, g.target
+        if q not in where or c is not None and c not in where:
+            touched = (q,) if c is None else (c, q)
+            new = [b for b in touched if b not in where]
+            if runs and len(where) + len(new) <= cap:
+                for b in new:
+                    where[b] = len(where)
+            else:
+                where, keys = {b: i for i, b in enumerate(touched)}, []
+                runs.append((where, keys))
+        keys.append((g.kind, where[q]) if c is None else (g.kind, where[c], where[q]))
+    for where, keys in runs:
+        table = lifted[len(where)]
         product = table[keys[0]]
         for key in keys[1:]:
             product = table[key].dot(product)
-        t = apply_matrix(t, product, qubits)
+        t = apply_matrix(t, product, list(where))
     return t
 
 

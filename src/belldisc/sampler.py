@@ -14,7 +14,8 @@ A noisy rho is evolved as its real Pauli coefficients c_L = tr(P_L rho), a
 (4,)*n tensor with one axis per qubit (letters I, X, Y, Z), by
 :func:`belldisc.circuit.evolve`: each gate and its channel is one real Pauli
 transfer matrix, and each maximal run of them on at most two qubits is one
-matrix applied to its qubits' axes.  rho = sum_L c_L P_L / 2^n is formed only
+matrix of at most 16x16, as a state vector's runs of four qubits are, applied
+to its qubits' axes.  rho = sum_L c_L P_L / 2^n is formed only
 by ``final_density``; a Z outcome b of a qubit has probability (c_I +- c_Z) / 2
 on its axis.  A circuit whose gates carry no depolarizing noise is evolved as
 a 2^n state vector, and its law is |psi|^2.  Seeds and streams are integers
@@ -173,7 +174,7 @@ def _channels(noise: NoiseModel, width: int) -> dict[tuple, np.ndarray]:
     matrix is (1 - p) R_U + p |I><I|.
     """
     keys, transfer = _PAULI_TRANSFER[width]
-    p = np.array([_depolarizing(noise, kind) for kind, _ in keys])[:, None, None]
+    p = np.array([_depolarizing(noise, kind) for kind, *_ in keys])[:, None, None]
     return dict(zip(keys, (1.0 - p) * transfer + p * _REPLACEMENT[width][1]))
 
 

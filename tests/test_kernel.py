@@ -8,6 +8,8 @@ float64 and noisy states as real Pauli coefficients, so both paths are drawn.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,8 +112,8 @@ ROUTED_BLOCKS = [transpile(b) for b in (device_parity_block(), device_phase_bloc
 
 
 class TestFusedRoutedCircuits:
-    """Routed circuits are long runs on one spoke-hub pair, holding both CNOT
-    orientations and one-qubit gates on either side of the pair."""
+    """Routed circuits are long runs on the hub and up to three spokes, holding both
+    CNOT orientations and one-qubit gates on every qubit of the run."""
 
     @given(
         st.one_of(
@@ -136,12 +138,13 @@ class TestKernelCalls:
     """One kernel call per fused run of gates, not one per gate, in float64 wherever the numbers are real."""
 
     @staticmethod
-    def record(run) -> list[tuple[np.dtype, np.dtype]]:
-        """The (state, matrix) dtypes of each kernel call that ``run`` makes."""
+    def record(run) -> list[tuple[np.dtype, np.dtype, tuple[int, ...], int, int]]:
+        """Each kernel call that ``run`` makes: state and matrix dtypes, axes, matrix side, values per axis."""
         seen = []
 
         def recording(t, u, axes):
-            seen.append((t.dtype, u.dtype))
+            axes = tuple(axes)
+            seen.append((t.dtype, u.dtype, axes, len(u), t.shape[axes[0]]))
             return apply_matrix(t, u, axes)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -155,11 +158,12 @@ class TestKernelCalls:
 
     @classmethod
     def dtypes(cls, run) -> set[np.dtype]:
-        return {dtype for call in cls.record(run) for dtype in call}
+        return {dtype for call in cls.record(run) for dtype in call[:2]}
 
     def test_routed_block_unitary(self):
+        # the block touches the hub and three spokes: four qubits, one 16x16 run
         routed = transpile(device_combined_block())
-        assert self.calls(lambda: unitary_of(routed)) <= 8 < routed.gate_count
+        assert self.calls(lambda: unitary_of(routed)) == 1 < routed.gate_count
 
     @pytest.mark.parametrize("kind", list(BellKind))
     def test_noisy_routed_density(self, kind):
@@ -183,6 +187,33 @@ class TestKernelCalls:
         assert self.calls(lambda: simulate(c)) == expected
         assert self.calls(lambda: unitary_of(c)) == expected
         assert self.calls(lambda: final_density(c, noise)) == expected
+
+    @given(
+        circuits(n_qubits=4, max_gates=30),
+        st.integers(4, 6).flatmap(lambda n: st.tuples(st.just(n), st.permutations(range(n)))),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_four_touched_qubits_are_one_call(self, four_qubit_circuit, register):
+        n, order = register
+        gates = tuple(
+            Gate(g.kind, order[g.target], None if g.control is None else order[g.control])
+            for g in four_qubit_circuit.gates
+        )
+        c = Circuit(n, gates)
+        assert self.calls(lambda: simulate(c)) <= 1
+        assert self.calls(lambda: unitary_of(c)) <= 1
+
+    @given(circuits(max_gates=30), circuits(max_gates=30, kinds=REAL_KINDS), noisy_models)
+    @settings(deadline=None, max_examples=40)
+    def test_runs_are_maximal_and_at_most_16x16(self, c, real, noise):
+        for run in (lambda: simulate(c), lambda: unitary_of(c), lambda: simulate(real),
+                    lambda: unitary_of(real), lambda: final_density(c, noise)):
+            seen = self.record(run)
+            for _, _, axes, side, d in seen:
+                assert side == d ** len(axes) <= 16
+            for (_, _, first, _, d), (_, _, then, _, _) in zip(seen, seen[1:]):
+                # the next run's gates would not have fit in this run's matrix
+                assert d ** len(set(first) | set(then)) > 16
 
     @given(circuits(), noise_models)
     @settings(deadline=None, max_examples=60)
@@ -220,6 +251,28 @@ class TestKernelCalls:
         assert self.dtypes(lambda: simulate(c, psi)) == ({np.dtype(np.complex128)} if c.gates else set())
 
 
+def _gate(key: tuple) -> Gate:
+    """The gate a lift key places: (kind, position) or (CNOT, control, target), positions as qubits."""
+    kind, *positions = key
+    return Gate(kind, positions[-1], positions[0] if kind == "CNOT" else None)
+
+
+class TestLiftedTables:
+    """Every width's table against the dense oracle's full gate matrix on that many qubits."""
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_lifted_gate_matrices_equal_the_dense_gate_unitary(self, dtype):
+        tables = belldisc.circuit._UNITARIES[dtype]
+        kinds = GATE_KINDS if dtype is complex else REAL_KINDS
+        assert sorted(tables) == [1, 2, 3, 4]
+        for width, table in tables.items():
+            assert len(table) == (len(kinds) - 1) * width + width * (width - 1)
+            for key, new in table.items():
+                expected = oracle.gate_unitary(_gate(key), width)
+                assert new.dtype == np.dtype(dtype)
+                assert np.array_equal(new, expected if dtype is complex else expected.real), key
+
+
 class TestPauliTransfer:
     """The real channel tables against the complex superoperator they replaced."""
 
@@ -230,9 +283,28 @@ class TestPauliTransfer:
         k = len(u).bit_length() - 1
         t = oracle.pauli_change_of_basis(k)
         expected = t @ oracle.superoperator(u, p) @ t.conj().T / 2 ** k
-        new = belldisc.sampler._channels(NoiseModel(p, p), k)[kind, 0]
+        new = belldisc.sampler._channels(NoiseModel(p, p), k)[(kind, *range(k))]
         assert new.dtype == np.float64
         assert np.abs(new - expected).max() <= 1e-15
+
+    @given(probabilities)
+    @settings(deadline=None, max_examples=20)
+    def test_every_lifted_channel_is_its_dense_pauli_transfer_matrix(self, p):
+        # R[:, j] = T vec(E(P_j)) / 2^w, with E the gate and the Pauli twirl on its qubits in a run of w
+        for width in (1, 2):
+            labels = ["".join(s) for s in itertools.product("IXYZ", repeat=width)]
+            t = oracle.pauli_change_of_basis(width)
+            interleaved = [a for q in range(width) for a in (q, width + q)]  # vec laid out as in superoperator
+            table = belldisc.sampler._channels(NoiseModel(p, p), width)
+            assert len(table) == 4 * width + width * (width - 1)
+            for key, new in table.items():
+                gate = _gate(key)
+                u = oracle.gate_unitary(gate, width)
+                columns = []
+                for label in labels:
+                    rho = oracle.twirl_depolarize(u @ qmath.pauli_operator(label) @ u.conj().T, gate.qubits, width, p)
+                    columns.append(t @ rho.reshape((2,) * 2 * width).transpose(interleaved).ravel() / 2 ** width)
+                assert np.abs(new - np.array(columns).T).max() <= 1e-15, key
 
     @given(noise_models)
     @settings(deadline=None, max_examples=30)
