@@ -168,13 +168,12 @@ def lift(matrices: dict[str, np.ndarray]) -> dict[int, dict[tuple, np.ndarray]]:
     """
     d, tables, width = len(matrices["H"]), {}, 1
     while d ** width <= _MAX_RUN_SIDE:
-        tables[width] = table = {}
-        for kind, m in matrices.items():
-            for positions in itertools.permutations(range(width), _OPERANDS[kind][0]):
-                rest = [p for p in range(width) if p not in positions]
-                axes = np.argsort([*positions, *rest])  # m's qubits first, then the identity's
-                full = np.kron(m, np.eye(d ** len(rest))).reshape((d,) * 2 * width)
-                table[(kind, *positions)] = full.transpose([*axes, *(axes + width)]).reshape(d ** width, -1)
+        eye = np.eye(d ** width).reshape((d,) * 2 * width)  # the gate acts on its row axes
+        tables[width] = {
+            (kind, *positions): apply_matrix(eye, m, positions).reshape(d ** width, -1)
+            for kind, m in matrices.items()
+            for positions in itertools.permutations(range(width), _OPERANDS[kind][0])
+        }
         width += 1
     return tables
 

@@ -134,6 +134,12 @@ class TestFusedRoutedCircuits:
         assert max(abs(new[k] - old[k]) for k in new) <= TOL
 
 
+def _relabelled(c: Circuit, n: int, order) -> Circuit:
+    """``c``'s gates on an ``n``-qubit register, qubit q renamed order[q]."""
+    return Circuit(n, tuple(
+        Gate(g.kind, order[g.target], None if g.control is None else order[g.control]) for g in c.gates))
+
+
 class TestKernelCalls:
     """One kernel call per fused run of gates, not one per gate, in float64 wherever the numbers are real."""
 
@@ -177,12 +183,7 @@ class TestKernelCalls:
     )
     @settings(deadline=None, max_examples=40)
     def test_one_pair_is_one_call(self, pair_circuit, register, noise):
-        n, order = register
-        gates = tuple(
-            Gate(g.kind, order[g.target], None if g.control is None else order[g.control])
-            for g in pair_circuit.gates
-        )
-        c = Circuit(n, gates)
+        c = _relabelled(pair_circuit, *register)
         expected = min(1, c.gate_count)
         assert self.calls(lambda: simulate(c)) == expected
         assert self.calls(lambda: unitary_of(c)) == expected
@@ -194,12 +195,7 @@ class TestKernelCalls:
     )
     @settings(deadline=None, max_examples=40)
     def test_four_touched_qubits_are_one_call(self, four_qubit_circuit, register):
-        n, order = register
-        gates = tuple(
-            Gate(g.kind, order[g.target], None if g.control is None else order[g.control])
-            for g in four_qubit_circuit.gates
-        )
-        c = Circuit(n, gates)
+        c = _relabelled(four_qubit_circuit, *register)
         assert self.calls(lambda: simulate(c)) <= 1
         assert self.calls(lambda: unitary_of(c)) <= 1
 
