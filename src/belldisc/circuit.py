@@ -30,13 +30,13 @@ GATE_KINDS = ("H", "X", "S", "SDG", "CNOT")
 # The qubit indices each mnemonic of the text format takes: how many, and how an error names them.
 _OPERANDS = {kind: (1, "one qubit") for kind in GATE_KINDS + ("MEAS",)} | {"CNOT": (2, "control and target")}
 
-# CNOT's rows and columns are ordered (control, target), qubit order.
+# CNOT's rows and columns are ordered (control, target), qubit order.  H, X and CNOT are float64, S and SDG complex128.
 GATE_MATRICES = {
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "SDG": np.array([[1, 0], [0, -1j]], dtype=complex),
-    "CNOT": np.eye(4, dtype=complex)[[0, 1, 3, 2]],
+    "H": np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+    "X": np.array([[0, 1], [1, 0]], dtype=float),
+    "S": np.array([[1, 0], [0, 1j]]),
+    "SDG": np.array([[1, 0], [0, -1j]]),
+    "CNOT": np.eye(4)[[0, 1, 3, 2]],
 }
 
 
@@ -164,7 +164,8 @@ def lift(matrices: dict[str, np.ndarray]) -> dict[int, dict[tuple, np.ndarray]]:
     Keyed by run width w, then by (kind, run position of each of the gate's
     qubits: a CNOT's control first); the run's first qubit is the most
     significant.  A qubit takes d = 2 values, or 4 for a Pauli transfer matrix
-    (letters I, X, Y, Z), so widths run 1-4 or 1-2.
+    (letters I, X, Y, Z), so widths run 1-4 or 1-2.  Each entry is the gate
+    applied to a float64 identity, so it keeps its matrix's dtype.
     """
     d, tables, width = len(matrices["H"]), {}, 1
     while d ** width <= _MAX_RUN_SIDE:
@@ -178,17 +179,7 @@ def lift(matrices: dict[str, np.ndarray]) -> dict[int, dict[tuple, np.ndarray]]:
     return tables
 
 
-_REAL = {kind for kind, m in GATE_MATRICES.items() if not m.imag.any()}  # H, X and CNOT
-# The lifted gate matrices per dtype: float64 serves circuits of real gates only.
-_UNITARIES = {
-    complex: lift(GATE_MATRICES),
-    float: lift({kind: GATE_MATRICES[kind].real for kind in _REAL}),
-}
-
-
-def _dtype(gates) -> type:
-    """float when every gate's matrix is real, so the gates evolve in float64; complex otherwise."""
-    return float if all(g.kind in _REAL for g in gates) else complex
+_UNITARIES = lift(GATE_MATRICES)
 
 
 def evolve(t: np.ndarray, gates, lifted: dict[int, dict[tuple, np.ndarray]]) -> np.ndarray:
@@ -196,7 +187,7 @@ def evolve(t: np.ndarray, gates, lifted: dict[int, dict[tuple, np.ndarray]]) -> 
 
     The gates are split into maximal runs on at most ``max(lifted)`` qubits (four
     for a state, two for Pauli coefficients), and each run's product of ``lifted``
-    matrices is one :func:`apply_matrix` call.
+    matrices is one :func:`apply_matrix` call; numpy's promotion keeps them real until a run holds a complex matrix.
     """
     cap, runs, where = max(lifted), [], {}  # where: the current run's qubits, each with its position
     for g in gates:
@@ -223,29 +214,25 @@ def evolve(t: np.ndarray, gates, lifted: dict[int, dict[tuple, np.ndarray]]) -> 
 def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     """Final state vector, evolved as a (2,)*n tensor; measurement markers are ignored.
 
-    From |0...0>, a circuit of real gates evolves in float64; the result is complex either way.
+    From |0...0> the state is float64 until the run holding the first S or SDG; the result is complex either way.
     """
     dim = 2 ** circuit.n_qubits
-    if initial is None:
-        dtype = _dtype(circuit.gates)
-        state = np.eye(dim, 1, dtype=dtype)  # |0...0>
-    else:
-        dtype, state = complex, np.array(initial, dtype=complex).reshape(-1)
-        if state.shape[0] != dim:
-            raise DimensionMismatch(f"initial state has dim {state.shape[0]}, circuit needs {dim}")
-    psi = evolve(state.reshape((2,) * circuit.n_qubits), circuit.gates, _UNITARIES[dtype])
+    state = np.eye(dim, 1) if initial is None else np.array(initial, dtype=complex).reshape(-1)  # |0...0> by default
+    if state.shape[0] != dim:
+        raise DimensionMismatch(f"initial state has dim {state.shape[0]}, circuit needs {dim}")
+    psi = evolve(state.reshape((2,) * circuit.n_qubits), circuit.gates, _UNITARIES)
     return psi.reshape(-1).astype(complex, copy=False)
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
     """Full unitary of a measurement-free circuit: the identity evolved, its column axes carried along.
 
-    A circuit of real gates evolves in float64; the result is complex either way.
+    The identity is float64 until the run holding the first S or SDG; the result is complex either way.
     """
     if circuit.measured:
         raise HasMeasurements("circuit has measurement markers")
-    n, dtype = circuit.n_qubits, _dtype(circuit.gates)
-    u = evolve(np.eye(2 ** n, dtype=dtype).reshape((2,) * (2 * n)), circuit.gates, _UNITARIES[dtype])
+    n = circuit.n_qubits
+    u = evolve(np.eye(2 ** n).reshape((2,) * (2 * n)), circuit.gates, _UNITARIES)
     return u.reshape(2 ** n, 2 ** n).astype(complex, copy=False)
 
 

@@ -27,7 +27,7 @@ from .circuit import (
     unitary_of,
     Circuit,
 )
-from .errors import BelldiscError, ParseError
+from .errors import BelldiscError, ParseError, ZeroShots
 from .qmath import projector
 from .refdata import (
     DEVIATION_TOL,
@@ -41,7 +41,7 @@ from .refdata import (
     reproduce_metrics,
     stage,
 )
-from .sampler import IDEAL, CountsHistogram, NoiseModel, sample
+from .sampler import IDEAL, CountsHistogram, NoiseModel, _check_shots, sample
 from .tomography import run_tomography
 from .transpile import DEFAULT_MAP, CouplingMap, transpile
 
@@ -242,9 +242,17 @@ def build_parser() -> argparse.ArgumentParser:
         except ValueError as exc:  # argparse prints the message of this class only
             raise argparse.ArgumentTypeError(str(exc)) from exc
 
+    def shots_flag(text: str) -> int:
+        try:
+            return _check_shots(int(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+        except ZeroShots as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
     def add_common(p: argparse.ArgumentParser, sampling: bool, formats: bool) -> None:
         if sampling:
-            p.add_argument("--shots", type=int, default=8192, help="samples per histogram")
+            p.add_argument("--shots", type=shots_flag, default=8192, help="samples per histogram")
             p.add_argument("--noise", type=noise_flag, default=IDEAL,
                            help="none | depol:p_gate,p_cnot | readout:r (comma-chained)")
             p.add_argument("--seed", type=int, default=None,

@@ -62,7 +62,7 @@ class NoMeasurements(BelldiscError):
 
 
 class ZeroShots(BelldiscError):
-    """Shot count must be a positive integer."""
+    """Shot count must be an integer from 1 to 2^63 - 1, the range of an int64 count."""
 
 
 class IdentityInSetting(BelldiscError):

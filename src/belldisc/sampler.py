@@ -43,6 +43,7 @@ from . import qmath
 from .circuit import GATE_MATRICES, Circuit, Gate, evolve, lift, simulate
 from .errors import (
     DimensionMismatch,
+    HasMeasurements,
     IdentityInSetting,
     NoMeasurements,
     ParseError,
@@ -130,8 +131,9 @@ def _is_int(value) -> bool:
 
 
 def _check_shots(shots) -> int:
-    if not _is_int(shots) or shots < 1:
-        raise ZeroShots(f"shots must be a positive integer, got {shots!r}")
+    """``shots`` as an int from 1 to 2^63 - 1, what an int64 count and numpy's multinomial hold."""
+    if not _is_int(shots) or not 1 <= shots <= 2 ** 63 - 1:
+        raise ZeroShots(f"shots must be an integer from 1 to 2^63 - 1, got {shots!r}")
     return int(shots)
 
 
@@ -293,8 +295,10 @@ def sample_settings(
     coefficients is one matmul with M[s, b, l], the probability of outcome b in basis s
     per unit of coefficient l, read out on its axis b by ``_readout``.  M[s, b] is the
     Z-outcome row (c_I +- c_Z) / 2 multiplied through basis s's rotations, each with its
-    noise, as the one-qubit :func:`_channels` that ``evolve`` applies.
+    noise, as the one-qubit :func:`_channels` that ``evolve`` applies.  The circuit must be unmeasured.
     """
+    if circuit.measured:
+        raise HasMeasurements("tomography appends its own measurements")
     n = circuit.n_qubits
     if n > MAX_TOMOGRAPHY_QUBITS:
         raise TooManyQubits(f"{n} qubits would need 3^{n} settings")

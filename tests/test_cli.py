@@ -220,6 +220,24 @@ class TestTomo:
         ]
 
 
+@pytest.mark.parametrize("command", [["discriminate", "--bell", "psi+"], ["tomo", "--bell", "psi+"]])
+@pytest.mark.parametrize("shots", ["0", "-3", str(2**63), "99999999999999999999"])
+def test_shots_outside_the_int64_range_exit_2(command, shots, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--shots", shots, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"argument --shots: shots must be an integer from 1 to 2^63 - 1, got {shots}\n" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [["discriminate", "--bell", "psi+"], ["tomo", "--bell", "psi+"]])
+def test_non_integer_shots_exit_2(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--shots", "7.5"])
+    assert exc.value.code == 2
+    assert "argument --shots: invalid int value: '7.5'\n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["tomo", "--bell", "psi+", "--shots", "16"],
     ["transpile", "--circuit", "c.txt"],

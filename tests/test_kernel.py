@@ -3,8 +3,8 @@
 ``dense_oracle`` builds every gate as a full matrix, depolarizes with the
 Pauli twirl and runs tomography one setting at a time; the package must agree
 with it to 1e-12 where only the order of floating-point operations differs,
-and exactly where the arithmetic is integer.  Circuits of real gates evolve in
-float64 and noisy states as real Pauli coefficients, so both paths are drawn.
+and exactly where the arithmetic is integer.  A state evolves in float64 until
+its first S or SDG and a noisy state as real Pauli coefficients, so every path is drawn.
 """
 from __future__ import annotations
 
@@ -28,6 +28,8 @@ from belldisc.circuit import (
     apply_matrix,
     bell_prep,
     combined_check,
+    evolve,
+    lift,
     simulate,
     unitary_of,
 )
@@ -235,16 +237,27 @@ class TestKernelCalls:
         assert self.dtypes(lambda: sample_settings(c, 64, noise)) == expected
         assert self.dtypes(lambda: sample_settings(c, 64, IDEAL)) == expected
 
+    @classmethod
+    def results(cls, run) -> list[np.dtype]:
+        """The dtype each kernel call computes in: its state's and its matrix's, promoted."""
+        return [np.result_type(t, u) for t, u, *_ in cls.record(run)]
+
     @given(circuits(kinds=REAL_KINDS), st.sampled_from(["S", "SDG"]), st.data())
     @settings(deadline=None, max_examples=60)
     def test_complex_gates_or_an_initial_state_evolve_in_complex128(self, c, kind, data):
         at = data.draw(st.integers(0, c.gate_count))
         q = data.draw(st.integers(0, c.n_qubits - 1))
         with_phase = Circuit(c.n_qubits, c.gates[:at] + (Gate(kind, q),) + c.gates[at:])
-        assert self.dtypes(lambda: simulate(with_phase)) == {np.dtype(np.complex128)}
-        assert self.dtypes(lambda: unitary_of(with_phase)) == {np.dtype(np.complex128)}
+        # runs are grown gate by gate, so the phase gate's run is the last run of the circuit cut after it
+        first = self.calls(lambda: simulate(Circuit(c.n_qubits, with_phase.gates[:at + 1]))) - 1
+        for run in (lambda: simulate(with_phase), lambda: unitary_of(with_phase)):
+            results = self.results(run)
+            # real before that run; complex in it and in every later run, real gates or not
+            assert results == [np.dtype(np.float64)] * first + [np.dtype(np.complex128)] * (len(results) - first)
         psi = qmath.ket("0" * c.n_qubits)
-        assert self.dtypes(lambda: simulate(c, psi)) == ({np.dtype(np.complex128)} if c.gates else set())
+        for circuit in (c, with_phase):
+            states = [t for t, *_ in self.record(lambda: simulate(circuit, psi))]
+            assert states == [np.dtype(np.complex128)] * len(states)
 
 
 def _gate(key: tuple) -> Gate:
@@ -254,19 +267,44 @@ def _gate(key: tuple) -> Gate:
 
 
 class TestLiftedTables:
-    """Every width's table against the dense oracle's full gate matrix on that many qubits."""
+    """The one table, every width, against the dense oracle's full gate matrix on that many qubits:
+    H, X and CNOT entries are float64 and S and SDG entries complex128."""
 
     @pytest.mark.parametrize("dtype", [complex, float])
     def test_lifted_gate_matrices_equal_the_dense_gate_unitary(self, dtype):
-        tables = belldisc.circuit._UNITARIES[dtype]
-        kinds = GATE_KINDS if dtype is complex else REAL_KINDS
+        tables = belldisc.circuit._UNITARIES
+        kinds = REAL_KINDS if dtype is float else ("S", "SDG")
         assert sorted(tables) == [1, 2, 3, 4]
         for width, table in tables.items():
-            assert len(table) == (len(kinds) - 1) * width + width * (width - 1)
+            assert len(table) == (len(GATE_KINDS) - 1) * width + width * (width - 1)
             for key, new in table.items():
-                expected = oracle.gate_unitary(_gate(key), width)
+                if key[0] not in kinds:
+                    continue
                 assert new.dtype == np.dtype(dtype)
-                assert np.array_equal(new, expected if dtype is complex else expected.real), key
+                assert np.array_equal(new, oracle.gate_unitary(_gate(key), width)), key
+
+
+# The lifted tables before float64 entries: every gate complex128, so a state evolves in complex128 throughout.
+ALL_COMPLEX = lift({kind: m.astype(complex) for kind, m in GATE_MATRICES.items()})
+
+
+class TestOneTable:
+    """Real runs in float64 change no bit: the one table evolves as the all-complex table does."""
+
+    @given(circuits(max_gates=30), st.lists(st.sampled_from(["S", "SDG"]), min_size=1, max_size=4), st.data())
+    @settings(deadline=None, max_examples=80)
+    def test_equals_evolving_over_the_all_complex_table(self, c, phases, data):
+        gates = list(c.gates)
+        for kind in phases:  # spliced in at random places
+            gates.insert(data.draw(st.integers(0, len(gates))), Gate(kind, data.draw(st.integers(0, c.n_qubits - 1))))
+        c = Circuit(c.n_qubits, tuple(gates))
+        dim, shape = 2 ** c.n_qubits, (2,) * c.n_qubits
+        psi = random_state(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), dim)
+        expected = evolve(np.eye(dim, 1, dtype=complex).reshape(shape), c.gates, ALL_COMPLEX).reshape(-1)
+        assert np.array_equal(simulate(c), expected)
+        assert np.array_equal(simulate(c, psi), evolve(psi.reshape(shape), c.gates, ALL_COMPLEX).reshape(-1))
+        u = evolve(np.eye(dim, dtype=complex).reshape(shape * 2), c.gates, ALL_COMPLEX).reshape(dim, dim)
+        assert np.array_equal(unitary_of(c), u)
 
 
 class TestPauliTransfer:

@@ -13,6 +13,8 @@ from belldisc import qmath
 from belldisc.circuit import BellKind, Circuit, Gate, bell_prep, combined_check, parity_check, simulate
 from belldisc.errors import (
     DimensionMismatch,
+    HasMeasurements,
+    HasMeasurementsBeforeEnd,
     IdentityInSetting,
     NoMeasurements,
     ParseError,
@@ -123,6 +125,20 @@ class TestIdealSampling:
         for flag in (True, np.bool_(True)):
             with pytest.raises(ZeroShots):
                 sample(Circuit(1).h(0).measure(0), flag)
+
+    def test_shots_up_to_the_int64_maximum(self):
+        # counts are int64 and numpy's multinomial takes an int64 total: 2^63 - 1 is the last that fits
+        c = bell_prep(BellKind.PSI_PLUS, n_qubits=2)
+        h = sample(c.measure(0, 1), 2**63 - 1, seed=3)
+        assert sum(h.counts.values()) == h.shots == 2**63 - 1
+        assert (sample_settings(c, 2**63 - 1).sum(axis=1) == 2**63 - 1).all()
+        for shots in (2**63, np.uint64(2**63), 10**20):
+            with pytest.raises(ZeroShots, match=r"from 1 to 2\^63 - 1"):
+                sample(c.measure(0, 1), shots)
+            with pytest.raises(ZeroShots):
+                sample_settings(c, shots)
+            with pytest.raises(ZeroShots):
+                CountsHistogram(1, shots, {"1": int(shots)})
 
     def test_numpy_integer_shots(self):
         c = bell_prep(BellKind.PSI_PLUS).measure(0, 1, 2)
@@ -327,6 +343,14 @@ class TestReusedGenerator:
 
 
 class TestSampleSettings:
+    def test_rejects_a_measured_circuit(self):
+        # row i would be sample(with_basis_change(...)), which a measured circuit cannot take
+        c = bell_prep(BellKind.PSI_PLUS).measure(0)
+        with pytest.raises(HasMeasurementsBeforeEnd):
+            with_basis_change(c, "XYZ")
+        with pytest.raises(HasMeasurements, match="tomography appends its own measurements"):
+            sample_settings(c, 64)
+
     def test_builds_one_bit_generator(self):
         philox, built = np.random.Philox, []
 

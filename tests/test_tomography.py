@@ -210,6 +210,10 @@ class TestRunTomography:
         with pytest.raises(DimensionMismatch):
             run_tomography(c, np.eye(4) / 4, shots=shots)
 
+    def test_rejects_shots_past_the_int64_maximum(self):
+        with pytest.raises(ZeroShots):
+            run_tomography(bell_prep(BellKind.PSI_PLUS), composite_state(BellKind.PSI_PLUS, 0), shots=2**63)
+
     def test_numpy_integer_shots(self):
         kind = BellKind.PSI_MINUS
         a = run_tomography(bell_prep(kind), composite_state(kind, 0), shots=np.int64(256), seed=2)
