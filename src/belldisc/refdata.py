@@ -16,7 +16,8 @@ published numbers are quoted in.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -152,20 +153,7 @@ def _parse_matrix_payload(data: dict, origin: str) -> LabeledMatrix:
     )
 
 
-def load_matrix(name_or_path: str | Path) -> LabeledMatrix:
-    """Load an embedded matrix by label, or any file in the same format.
-
-    ``ideal`` must be one of the 8 ideal-state tokens.  A label of the form
-    ``<token>.<stage>`` must agree with ``ideal`` and ``stage``, and names the
-    stage when the file gives none; any other label is free-form.
-    """
-    name = str(name_or_path)
-    if name in EMBEDDED_LABELS:
-        raw = _DATA.joinpath(f"{name}.json").read_bytes()
-        origin = f"embedded:{name}"
-    else:
-        raw = Path(name_or_path).read_bytes()
-        origin = name
+def _parse(raw: bytes, origin: str) -> LabeledMatrix:
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -173,6 +161,34 @@ def load_matrix(name_or_path: str | Path) -> LabeledMatrix:
     if not isinstance(data, dict):
         raise ParseError(f"{origin}: payload is not an object")
     return _parse_matrix_payload(data, origin)
+
+
+@cache
+def _embedded(label: str) -> LabeledMatrix:
+    """The embedded matrix ``label``, read, parsed and validated on its first load in a process.
+
+    The files are package data and never change, so at most one entry per embedded label is
+    held; its matrix is read-only, and :func:`load_matrix` hands out copies of it.
+    """
+    lm = _parse(_DATA.joinpath(f"{label}.json").read_bytes(), f"embedded:{label}")
+    lm.matrix.flags.writeable = False
+    return lm
+
+
+def load_matrix(name_or_path: str | Path) -> LabeledMatrix:
+    """Load an embedded matrix by label, or any file in the same format.
+
+    An embedded label is read, parsed and validated once per process, on its first load;
+    every call returns its own writable copy of the matrix.  A path is read on every call.
+    ``ideal`` must be one of the 8 ideal-state tokens.  A label of the form
+    ``<token>.<stage>`` must agree with ``ideal`` and ``stage``, and names the
+    stage when the file gives none; any other label is free-form.
+    """
+    name = str(name_or_path)
+    if name in EMBEDDED_LABELS:
+        lm = _embedded(name)
+        return replace(lm, matrix=lm.matrix.copy())
+    return _parse(Path(name_or_path).read_bytes(), name)
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,11 @@ def _depolarizing(noise: NoiseModel, kind: str) -> float:
     return noise.per_cnot_depolarizing if kind == "CNOT" else noise.per_gate_depolarizing
 
 
+# _depolarizing's rule as a mask per run width: True where that width's _PAULI_TRANSFER key is a CNOT
+_CNOT = {width: np.array([kind == "CNOT" for kind, *_ in keys])[:, None, None]
+         for width, (keys, _) in _PAULI_TRANSFER.items()}
+
+
 def _pure(circuit: Circuit, noise: NoiseModel) -> bool:
     """Whether no gate of the circuit carries depolarizing noise, so its state stays a vector."""
     return not any(_depolarizing(noise, g.kind) for g in circuit.gates)
@@ -176,16 +181,21 @@ def _channels(noise: NoiseModel, width: int) -> dict[tuple, np.ndarray]:
     matrix is (1 - p) R_U + p |I><I|.
     """
     keys, transfer = _PAULI_TRANSFER[width]
-    p = np.array([_depolarizing(noise, kind) for kind, *_ in keys])[:, None, None]
+    p = np.where(_CNOT[width], noise.per_cnot_depolarizing, noise.per_gate_depolarizing)
     return dict(zip(keys, (1.0 - p) * transfer + p * _REPLACEMENT[width][1]))
 
 
-def _coefficients(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
+def _tables(noise: NoiseModel) -> dict[int, dict[tuple, np.ndarray]]:
+    """:func:`_channels` of every run width, as :func:`evolve` takes them."""
+    return {width: _channels(noise, width) for width in _PAULI_TRANSFER}
+
+
+def _coefficients(circuit: Circuit, tables: dict[int, dict[tuple, np.ndarray]]) -> np.ndarray:
     """The Pauli coefficients c_L = tr(P_L rho) after the noisy gates: a real (4,)*n tensor, axis q the letter of qubit q."""
     n = circuit.n_qubits
     c = np.zeros((4,) * n)
     c[(slice(None, None, 3),) * n] = 1.0  # |0..0><0..0|: 1 for every L in {I, Z}^n
-    return evolve(c, circuit.gates, {width: _channels(noise, width) for width in _PAULI_TRANSFER})
+    return evolve(c, circuit.gates, tables)
 
 
 def final_density(circuit: Circuit, noise: NoiseModel = IDEAL) -> np.ndarray:
@@ -197,7 +207,7 @@ def final_density(circuit: Circuit, noise: NoiseModel = IDEAL) -> np.ndarray:
     if _pure(circuit, noise):
         return qmath.projector(simulate(circuit))
     n = circuit.n_qubits
-    return qmath.contract_qubits(_coefficients(circuit, noise), _PAULI_MATRICES, n, 1).reshape(2 ** n, 2 ** n)
+    return qmath.contract_qubits(_coefficients(circuit, _tables(noise)), _PAULI_MATRICES, n, 1).reshape(2 ** n, 2 ** n)
 
 
 def _readout(t: np.ndarray, r: float, axis: int) -> np.ndarray:
@@ -214,7 +224,7 @@ def _law(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
         psi = simulate(circuit).reshape((2,) * n)
         probs = (psi * psi.conj()).real.sum(axis=tuple(q for q in range(n) if q not in circuit.measured))
     else:  # the unmeasured qubits traced out: their letter I
-        c = _coefficients(circuit, noise)[tuple(slice(None) if q in circuit.measured else 0 for q in range(n))]
+        c = _coefficients(circuit, _tables(noise))[tuple(slice(None) if q in circuit.measured else 0 for q in range(n))]
         probs = qmath.contract_qubits(c, _OUTCOMES, c.ndim, 1)
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
@@ -303,10 +313,10 @@ def sample_settings(
     if n > MAX_TOMOGRAPHY_QUBITS:
         raise TooManyQubits(f"{n} qubits would need 3^{n} settings")
     shots = _check_shots(shots)
-    single = _channels(noise, 1)
-    m = np.array([reduce(lambda e, kind: e @ single[kind, 0], gates[::-1], _OUTCOMES)
+    tables = _tables(noise)
+    m = np.array([reduce(lambda e, kind: e @ tables[1][kind, 0], gates[::-1], _OUTCOMES)
                   for gates in _BASIS_CHANGE.values()])
-    law = qmath.contract_qubits(_coefficients(circuit, noise), _readout(m, noise.readout_flip, 1), n, 1)
+    law = qmath.contract_qubits(_coefficients(circuit, tables), _readout(m, noise.readout_flip, 1), n, 1)
     return _draw(law.reshape(3 ** n, 2 ** n), shots, _key("seed", seed), range(3 ** n))
 
 

@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from dataclasses import fields
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from belldisc import qmath
+import belldisc
+from belldisc import qmath, refdata
 from belldisc.circuit import BellKind, simulate
 from belldisc.errors import BadDimensions, NonHermitianBeyondTolerance, ParseError
 from belldisc.refdata import (
@@ -201,6 +209,72 @@ class TestFileLoading:
         path.write_text(json.dumps(matrix_json_dict("x", "psi_plus_0", m)))
         with pytest.raises(NonHermitianBeyondTolerance):
             load_matrix(path)
+
+
+class TestEmbeddedLoads:
+    """An embedded label is read, parsed and validated once per process; every load gets its own copy."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        refdata._embedded.cache_clear()
+        yield
+        refdata._embedded.cache_clear()
+
+    @pytest.mark.parametrize("label", EMBEDDED_LABELS)
+    def test_equals_a_fresh_parse_of_its_file(self, label):
+        raw = refdata._DATA.joinpath(f"{label}.json").read_bytes()
+        fresh = refdata._parse_matrix_payload(json.loads(raw), label)
+        for repeat in range(3):
+            lm = load_matrix(label)
+            for f in fields(lm):
+                if f.name != "matrix":
+                    assert getattr(lm, f.name) == getattr(fresh, f.name), (repeat, f.name)
+            assert lm.matrix.dtype == fresh.matrix.dtype
+            assert np.array_equal(lm.matrix, fresh.matrix)
+
+    def test_each_load_gets_its_own_writable_matrix(self):
+        first, second = load_matrix("phi_minus_1.phase"), load_matrix("phi_minus_1.phase")
+        assert first.matrix is not second.matrix
+        assert not np.shares_memory(first.matrix, second.matrix)
+        assert first.matrix.flags.writeable and second.matrix.flags.writeable
+        kept = second.matrix.copy()
+        first.matrix[...] = 0.5
+        assert np.array_equal(second.matrix, kept)
+        assert np.array_equal(load_matrix("phi_minus_1.phase").matrix, kept)
+
+    def test_reads_each_file_once(self, monkeypatch):
+        reads = Counter()
+
+        def joinpath(name):
+            def read_bytes():
+                reads[name] += 1
+                return data.joinpath(name).read_bytes()
+            return SimpleNamespace(read_bytes=read_bytes)
+
+        data = refdata._DATA
+        monkeypatch.setattr(refdata, "_DATA", SimpleNamespace(joinpath=joinpath))
+        for _ in range(50):
+            for label in EMBEDDED_LABELS:
+                assert load_matrix(label).label == label
+        assert reads == Counter({f"{label}.json": 1 for label in EMBEDDED_LABELS})
+        assert refdata._embedded.cache_info().currsize == len(EMBEDDED_LABELS)
+
+    def test_a_path_is_read_on_every_call(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(matrix_json_dict("run.1", "psi_plus_0", np.eye(8) / 8)))
+        assert load_matrix(path).label == "run.1"
+        path.write_text(json.dumps(matrix_json_dict("run.2", "phi_minus_1", np.eye(8) / 4)))
+        second = load_matrix(path)
+        assert (second.label, second.ideal) == ("run.2", "phi_minus_1")
+        assert np.array_equal(second.matrix, np.eye(8) / 4)
+        assert refdata._embedded.cache_info().currsize == 0
+
+    def test_import_reads_no_matrix(self):
+        src = str(Path(belldisc.__file__).resolve().parent.parent)
+        code = "import belldisc, belldisc.refdata as r; print(r._embedded.cache_info().currsize)"
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0"
 
 
 class TestReproduceMetrics:

@@ -366,7 +366,7 @@ class TestSampleSettings:
         assert len(built) <= 1
 
     def test_builds_channels_once(self):
-        # the density's two widths and the setting law's one width, however many settings
+        # one table per run width, shared by the density and the setting law, however many settings
         channels, calls = belldisc.sampler._channels, {}
 
         def counting(noise, width):
@@ -379,7 +379,7 @@ class TestSampleSettings:
                       bell_prep(BellKind.PSI_PLUS, n_qubits=4).extend(combined_check())):
                 calls[c.n_qubits] = []
                 sample_settings(c, 64, NoiseModel(0.02, 0.05, 0.02))
-        assert {n: sorted(widths) for n, widths in calls.items()} == {3: [1, 1, 2], 4: [1, 1, 2]}
+        assert {n: sorted(widths) for n, widths in calls.items()} == {3: [1, 2], 4: [1, 2]}
 
 
 class TestRelabelling:
