@@ -40,8 +40,19 @@ GATE_MATRICES = {
 }
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer, not a bool; a plain int passes on its type alone, the fast path."""
+    return type(value) is int or not isinstance(value, (bool, np.bool_)) and isinstance(value, (int, np.integer))
+
+
 @dataclass(frozen=True)
 class Gate:
+    """One gate of ``kind`` on ``target``, controlled by ``control`` for a CNOT.
+
+    Qubit indices are non-negative integers: a numpy integer is taken as its ``int``, and a
+    bool, a float or any other value raises :class:`BadQubitIndex`.
+    """
+
     kind: str
     target: int
     control: int | None = None
@@ -57,8 +68,14 @@ class Gate:
         elif self.control is not None:
             raise ValueError(f"{self.kind} takes no control qubit")
         for q in self.qubits:
+            if not _is_int(q):
+                raise BadQubitIndex(f"qubit index {q!r} is not an integer")
             if q < 0:
                 raise BadQubitIndex(f"negative qubit index {q}")
+        if type(self.target) is not int:
+            object.__setattr__(self, "target", int(self.target))
+        if self.control is not None and type(self.control) is not int:
+            object.__setattr__(self, "control", int(self.control))
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -82,22 +99,35 @@ def _check_unmeasured(gates, measured: set[int] | frozenset[int]) -> None:
 
 @dataclass(frozen=True)
 class Circuit:
+    """``gates`` in order on a register of ``n_qubits``, then measurement markers on ``measured``.
+
+    The register size and the measured qubits are integers, as :class:`Gate`'s indices are:
+    numpy integers are taken as ``int``, and bools and floats raise :class:`BadQubitIndex`.
+    """
+
     n_qubits: int
     gates: tuple[Gate, ...] = ()
     measured: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
+        if not _is_int(self.n_qubits):
+            raise BadQubitIndex(f"register size {self.n_qubits!r} is not an integer")
         if self.n_qubits < 1:
             raise BadQubitIndex("a circuit needs at least one qubit")
+        if type(self.n_qubits) is not int:
+            object.__setattr__(self, "n_qubits", int(self.n_qubits))
         object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(self, "measured", frozenset(self.measured))
         for g in self.gates:
             for q in g.qubits:
                 if q >= self.n_qubits:
                     raise BadQubitIndex(f"gate {g.text()!r} outside register of {self.n_qubits}")
-        for q in self.measured:
+        measured = frozenset(self.measured)
+        for q in measured:
+            if not _is_int(q):
+                raise BadQubitIndex(f"measured qubit {q!r} is not an integer")
             if not 0 <= q < self.n_qubits:
                 raise BadQubitIndex(f"measured qubit {q} outside register of {self.n_qubits}")
+        object.__setattr__(self, "measured", frozenset(map(int, measured)))
 
     # -- construction (every method returns a new circuit) --
 

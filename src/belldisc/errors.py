@@ -36,7 +36,7 @@ class StronglyNonPositive(BelldiscError):
 # ---- circuit model ----
 
 class BadQubitIndex(BelldiscError):
-    """A gate or measurement references a qubit outside the register."""
+    """A gate or measurement references a qubit outside the register, or an index or register size is no integer."""
 
 
 class HasMeasurements(BelldiscError):

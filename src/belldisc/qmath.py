@@ -35,6 +35,7 @@ PAULI: dict[str, np.ndarray] = {
 
 # PAULI_BASIS[l] is the Pauli matrix of letter l in the label order I, X, Y, Z.
 PAULI_BASIS = np.stack([PAULI[ch] for ch in "IXYZ"])
+_HALF_BASIS = PAULI_BASIS.transpose(1, 2, 0) / 2  # (row, column, letter): one qubit's factor of density_from_pauli
 
 ALGEBRAIC_TOL = 1e-9
 PHYSICALITY_TOL = 1e-6
@@ -71,6 +72,16 @@ def contract_qubits(t: np.ndarray, op: np.ndarray, n: int, k_in: int) -> np.ndar
     for _ in range(n):
         t = (m @ t.reshape(m.shape[1], -1)).T
     return t.reshape(op.shape[:k_out] * n).transpose([q * k_out + g for g in range(k_out) for q in range(n)])
+
+
+def density_from_pauli(coeffs: np.ndarray) -> np.ndarray:
+    """rho = sum_L c_L P_L / 2^n from its Pauli coefficients c_L = tr(P_L rho).
+
+    ``coeffs`` is a (4,)*n tensor, axis q the letter of qubit q in ``PAULI_BASIS``
+    order.  Each qubit's factor carries its 1/2, so the 1/2^n is exact.
+    """
+    n = coeffs.ndim
+    return contract_qubits(coeffs, _HALF_BASIS, n, 1).reshape(2 ** n, 2 ** n)
 
 
 def ket(bits: str) -> np.ndarray:

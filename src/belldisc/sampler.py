@@ -15,10 +15,11 @@ A noisy rho is evolved as its real Pauli coefficients c_L = tr(P_L rho), a
 :func:`belldisc.circuit.evolve`: each gate and its channel is one real Pauli
 transfer matrix, and each maximal run of them on at most two qubits is one
 matrix of at most 16x16, as a state vector's runs of four qubits are, applied
-to its qubits' axes.  rho = sum_L c_L P_L / 2^n is formed only
-by ``final_density``; a Z outcome b of a qubit has probability (c_I +- c_Z) / 2
-on its axis.  A circuit whose gates carry no depolarizing noise is evolved as
-a 2^n state vector, and its law is |psi|^2.  Seeds and streams are integers
+to its qubits' axes.  Here rho = sum_L c_L P_L / 2^n is formed only by
+``final_density``, through :func:`belldisc.qmath.density_from_pauli`, which
+``tomography.reconstruct`` also calls; a Z outcome b of a qubit has probability
+(c_I +- c_Z) / 2 on its axis.  A circuit whose gates carry no depolarizing
+noise is evolved as a 2^n state vector, and its law is |psi|^2.  Seeds and streams are integers
 taken modulo 2^64.  ``_readout`` folds the flip of one bit into a law, on that
 bit's axis: ``exact_distribution`` is
 the post-readout law, and ``sample`` draws it in one multinomial draw keyed by
@@ -40,7 +41,7 @@ from typing import Mapping
 import numpy as np
 
 from . import qmath
-from .circuit import GATE_MATRICES, Circuit, Gate, evolve, lift, simulate
+from .circuit import GATE_MATRICES, Circuit, Gate, _is_int, evolve, lift, simulate
 from .errors import (
     DimensionMismatch,
     HasMeasurements,
@@ -126,10 +127,6 @@ class CountsHistogram:
         return cls.from_json_dict(data)
 
 
-def _is_int(value) -> bool:
-    return not isinstance(value, (bool, np.bool_)) and isinstance(value, (int, np.integer))
-
-
 def _check_shots(shots) -> int:
     """``shots`` as an int from 1 to 2^63 - 1, what an int64 count and numpy's multinomial hold."""
     if not _is_int(shots) or not 1 <= shots <= 2 ** 63 - 1:
@@ -157,16 +154,10 @@ _PAULI_TRANSFER = _stacked({kind: _pauli_transfer(u) for kind, u in GATE_MATRICE
 # |I><I| on the touched qubits: keeps the trace and forgets the rest
 _REPLACEMENT = _stacked({kind: np.diag(np.eye(len(u) ** 2)[0]) for kind, u in GATE_MATRICES.items()})
 _OUTCOMES = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0]]) / 2  # Z outcome b: (c_I +- c_Z) / 2
-_PAULI_MATRICES = qmath.PAULI_BASIS.transpose(1, 2, 0) / 2  # (row, column, letter): rho = sum_L c_L P_L / 2^n
 
 
 def _depolarizing(noise: NoiseModel, kind: str) -> float:
     return noise.per_cnot_depolarizing if kind == "CNOT" else noise.per_gate_depolarizing
-
-
-# _depolarizing's rule as a mask per run width: True where that width's _PAULI_TRANSFER key is a CNOT
-_CNOT = {width: np.array([kind == "CNOT" for kind, *_ in keys])[:, None, None]
-         for width, (keys, _) in _PAULI_TRANSFER.items()}
 
 
 def _pure(circuit: Circuit, noise: NoiseModel) -> bool:
@@ -181,7 +172,7 @@ def _channels(noise: NoiseModel, width: int) -> dict[tuple, np.ndarray]:
     matrix is (1 - p) R_U + p |I><I|.
     """
     keys, transfer = _PAULI_TRANSFER[width]
-    p = np.where(_CNOT[width], noise.per_cnot_depolarizing, noise.per_gate_depolarizing)
+    p = np.array([_depolarizing(noise, kind) for kind, *_ in keys])[:, None, None]
     return dict(zip(keys, (1.0 - p) * transfer + p * _REPLACEMENT[width][1]))
 
 
@@ -202,12 +193,11 @@ def final_density(circuit: Circuit, noise: NoiseModel = IDEAL) -> np.ndarray:
     """Density matrix after the gates and their noise channels.
 
     Without depolarizing noise it is |psi><psi| of a 2^n state vector; otherwise it is
-    sum_L c_L P_L / 2^n over the real Pauli coefficients c of :func:`_coefficients`.
+    :func:`belldisc.qmath.density_from_pauli` of the real Pauli coefficients of :func:`_coefficients`.
     """
     if _pure(circuit, noise):
         return qmath.projector(simulate(circuit))
-    n = circuit.n_qubits
-    return qmath.contract_qubits(_coefficients(circuit, _tables(noise)), _PAULI_MATRICES, n, 1).reshape(2 ** n, 2 ** n)
+    return qmath.density_from_pauli(_coefficients(circuit, _tables(noise)))
 
 
 def _readout(t: np.ndarray, r: float, axis: int) -> np.ndarray:

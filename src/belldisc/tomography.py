@@ -30,7 +30,6 @@ from . import qmath
 from .circuit import Circuit
 from .errors import (
     DimensionMismatch,
-    HasMeasurements,
     IncompleteTable,
     InconsistentShotTotals,
     MissingSetting,
@@ -79,13 +78,6 @@ def _estimate(counts: np.ndarray, shots: int) -> np.ndarray:
     return signed.reshape(-1) / shots
 
 
-def _invert(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """rho = (1/2^n) sum_L c_L sigma_L for coefficients in label order."""
-    basis = qmath.PAULI_BASIS.transpose(1, 2, 0)  # (row, column, letter)
-    rho = qmath.contract_qubits(coeffs.reshape((4,) * n), basis, n, 1)
-    return rho.reshape(2 ** n, 2 ** n) / 2 ** n
-
-
 @dataclass(frozen=True)
 class ExpectationTable:
     n_qubits: int
@@ -128,13 +120,13 @@ def exact_expectations(rho: np.ndarray) -> ExpectationTable:
 
 
 def reconstruct(table: ExpectationTable) -> np.ndarray:
-    """Linear inversion: rho = (1/2^n) sum_L c_L sigma_L."""
+    """Linear inversion: rho = (1/2^n) sum_L c_L sigma_L, by :func:`belldisc.qmath.density_from_pauli`."""
     n = table.n_qubits
     labels = _labels(n)
     missing = [label for label in labels if label not in table.values]
     if missing:
         raise IncompleteTable(f"missing coefficient for {missing[0]}")
-    return _invert(np.array([table.values[label] for label in labels], dtype=float), n)
+    return qmath.density_from_pauli(np.array([table.values[label] for label in labels], dtype=float).reshape((4,) * n))
 
 
 @dataclass(frozen=True)
@@ -189,10 +181,9 @@ def run_tomography(
 
     The counts go to the raw matrix in one contraction per qubit, divided by shots 2^n.  The
     per-setting sampling streams are derived from the setting index, so a root seed pins the
-    whole run.  ``ideal`` may be a density matrix or a pure state vector.
+    whole run.  ``ideal`` may be a density matrix or a pure state vector; it is checked before
+    :func:`sample_settings` checks the circuit, which must carry no measurements, and the shots.
     """
-    if circuit.measured:
-        raise HasMeasurements("tomography appends its own measurements")
     ideal_m = np.asarray(ideal, dtype=complex)
     if ideal_m.ndim == 1:
         ideal_m = qmath.projector(ideal_m)

@@ -33,7 +33,7 @@ from belldisc.errors import (
     HasMeasurementsBeforeEnd,
     ParseError,
 )
-from belldisc.sampler import with_basis_change
+from belldisc.sampler import exact_distribution, with_basis_change
 from conftest import circuits, random_circuit
 
 ALL_KINDS = list(BellKind)
@@ -59,6 +59,34 @@ class TestGateAndCircuitValidation:
     def test_negative_qubit_index(self):
         with pytest.raises(BadQubitIndex):
             Gate("H", -1)
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, True, False, np.bool_(True), "1", np.float64(1.0)])
+    def test_non_integer_qubit_index(self, index):
+        with pytest.raises(BadQubitIndex):
+            Gate("H", index)
+        with pytest.raises(BadQubitIndex):
+            Gate("CNOT", 2, control=index)
+        with pytest.raises(BadQubitIndex):
+            Circuit(3, (), frozenset({index}))
+
+    @pytest.mark.parametrize("size", [2.5, 2.0, True, np.bool_(True), "2", None])
+    def test_non_integer_register_size(self, size):
+        with pytest.raises(BadQubitIndex):
+            Circuit(size)
+
+    def test_measured_half_qubit_is_not_a_silent_law(self):
+        # 0.5 used to pass the range check and read as no qubit of the register
+        with pytest.raises(BadQubitIndex):
+            exact_distribution(Circuit(2, (Gate("H", 0),), frozenset({0.5})))
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_indices_become_ints(self, integer):
+        g = Gate("CNOT", integer(1), control=integer(0))
+        c = Circuit(integer(3), (g,), frozenset({integer(2)}))
+        assert (g.target, g.control, c.n_qubits, c.measured) == (1, 0, 3, frozenset({2}))
+        assert all(type(v) is int for v in (g.target, g.control, c.n_qubits, *c.measured))
+        assert g == Gate("CNOT", 1, control=0) and c == Circuit(3, (g,), frozenset({2}))
+        assert format_circuit(c) == "CNOT 0 1\nMEAS 2\n"
 
     def test_empty_register(self):
         with pytest.raises(BadQubitIndex):

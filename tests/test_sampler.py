@@ -427,6 +427,24 @@ class TestDepolarizing:
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         assert np.abs(rho - rho.conj().T).max() <= 1e-12
 
+    @given(circuits(), st.floats(0.0, 0.5), st.floats(0.0, 0.5))
+    @settings(deadline=None, max_examples=200)
+    def test_noise_only_shrinks_the_ideal_stabilizer_coefficients(self, c, per_gate, per_cnot):
+        """Covers the depolarizing channels only: a channel that is not Pauli-diagonal, such as
+        amplitude damping, moves weight onto new Pauli strings and breaks this invariant.
+
+        Every gate is a Clifford, so the ideal state's coefficients are +-1 on its 2^n stabilizers
+        and exactly 0 elsewhere; each channel only scales a non-identity coefficient by 1 - p.
+        """
+        sampler = belldisc.sampler
+        ideal = sampler._coefficients(c, sampler._tables(IDEAL))
+        noisy = sampler._coefficients(c, sampler._tables(NoiseModel(per_gate, per_cnot)))
+        support = ideal != 0.0
+        assert np.array_equal(noisy != 0.0, support)
+        assert support.sum() == 2 ** c.n_qubits
+        ratio = noisy[support] / ideal[support]
+        assert (ratio > 0.0).all() and (ratio <= 1.0).all()
+
     def test_deterministic_pauli_insertions_keep_purity(self):
         # noise modeled as explicit X and Z (= S S) insertions stays unitary
         c = bell_prep(BellKind.PSI_MINUS).x(2).s(1).s(1)

@@ -191,8 +191,11 @@ class TestRunTomography:
 
     def test_rejects_measured_circuit(self):
         c = bell_prep(BellKind.PSI_PLUS).measure(0)
-        with pytest.raises(HasMeasurements):
+        with pytest.raises(HasMeasurements, match="tomography appends its own measurements"):
             run_tomography(c, composite_state(BellKind.PSI_PLUS, 0))
+        # run_tomography checks its own argument, the ideal, before sample_settings checks the circuit
+        with pytest.raises(DimensionMismatch):
+            run_tomography(c, np.eye(4) / 4)
 
     def test_rejects_wrong_ideal_shape(self):
         with pytest.raises(DimensionMismatch):
