@@ -19,6 +19,7 @@ import numpy as np
 
 from . import qmath
 from .errors import (
+    BadArgument,
     BadQubitIndex,
     DimensionMismatch,
     HasMeasurements,
@@ -59,14 +60,14 @@ class Gate:
 
     def __post_init__(self) -> None:
         if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+            raise BadArgument(f"unknown gate kind {self.kind!r}")
         if self.kind == "CNOT":
             if self.control is None:
-                raise ValueError("CNOT needs a control qubit")
+                raise BadArgument("CNOT needs a control qubit")
             if self.control == self.target:
                 raise BadQubitIndex("CNOT control and target must differ")
         elif self.control is not None:
-            raise ValueError(f"{self.kind} takes no control qubit")
+            raise BadArgument(f"{self.kind} takes no control qubit")
         for q in self.qubits:
             if not _is_int(q):
                 raise BadQubitIndex(f"qubit index {q!r} is not an integer")
@@ -321,7 +322,7 @@ def bell_vector(kind: BellKind) -> np.ndarray:
 def composite_state(kind: BellKind, ancilla_bit: int) -> np.ndarray:
     """Bell pair on qubits (0, 1) joined by an ancilla qubit in |0> or |1>."""
     if ancilla_bit not in (0, 1):
-        raise ValueError("ancilla_bit must be 0 or 1")
+        raise BadArgument("ancilla_bit must be 0 or 1")
     return np.kron(bell_vector(kind), qmath.ket(str(ancilla_bit)))
 
 
@@ -381,7 +382,7 @@ def discrimination_circuit(
 ) -> Circuit:
     """Prep + one check block + reverse EPR, as run for the outcome histograms."""
     if check not in CHECKS:
-        raise ValueError(f"check must be 'parity' or 'phase', got {check!r}")
+        raise BadArgument(f"check must be 'parity' or 'phase', got {check!r}")
     c = bell_prep(kind, system, n_qubits).extend(CHECKS[check](system, ancilla, n_qubits))
     return c.extend(reverse_epr(system, n_qubits))
 

@@ -27,7 +27,7 @@ from .circuit import (
     unitary_of,
     Circuit,
 )
-from .errors import BelldiscError, ParseError, ZeroShots
+from .errors import BadArgument, BelldiscError, ParseError, ZeroShots
 from .qmath import projector
 from .refdata import (
     DEVIATION_TOL,
@@ -66,16 +66,16 @@ def parse_noise_flag(text: str) -> NoiseModel:
     for head, args in clauses:
         fields = _NOISE_CLAUSES.get(head)
         if fields is None:
-            raise ValueError("'none' cannot be combined with other clauses" if head == "none"
+            raise BadArgument("'none' cannot be combined with other clauses" if head == "none"
                              else f"unknown noise clause {head!r}")
         try:
             values = [float(a) for a in args]
         except ValueError as exc:
-            raise ValueError(f"non-numeric argument in noise clause {head!r}") from exc
+            raise BadArgument(f"non-numeric argument in noise clause {head!r}") from exc
         if len(values) != len(fields):
-            raise ValueError(f"{head} takes {len(fields)} value(s): {head}:{','.join(fields)}")
+            raise BadArgument(f"{head} takes {len(fields)} value(s): {head}:{','.join(fields)}")
         if not kwargs.keys().isdisjoint(fields):
-            raise ValueError(f"duplicate noise clause {head!r}")
+            raise BadArgument(f"duplicate noise clause {head!r}")
         kwargs.update(zip(fields, values))
     return NoiseModel(**kwargs)
 

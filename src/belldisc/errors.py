@@ -2,13 +2,18 @@
 
 Everything derives from :class:`BelldiscError` so callers (notably the CLI)
 can catch one base class for "bad input or bad data" and map it to a nonzero
-exit code.
+exit code.  An argument of the wrong type or out of its domain raises
+:class:`BadArgument`, which is also a ``ValueError``.
 """
 from __future__ import annotations
 
 
 class BelldiscError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class BadArgument(BelldiscError, ValueError):
+    """An argument has the wrong type or a value outside its domain (also a ValueError)."""
 
 
 # ---- linear algebra / state validation ----
@@ -80,7 +85,7 @@ class MissingSetting(BelldiscError):
 
 
 class InconsistentShotTotals(BelldiscError):
-    """Histograms for different settings disagree on shots or width."""
+    """Histograms for different settings disagree on their shot totals."""
 
 
 class IncompleteTable(BelldiscError):

@@ -19,6 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import (
+    BadArgument,
     DimensionMismatch,
     GrosslyNonHermitian,
     NotHermitian,
@@ -36,6 +37,7 @@ PAULI: dict[str, np.ndarray] = {
 # PAULI_BASIS[l] is the Pauli matrix of letter l in the label order I, X, Y, Z.
 PAULI_BASIS = np.stack([PAULI[ch] for ch in "IXYZ"])
 _HALF_BASIS = PAULI_BASIS.transpose(1, 2, 0) / 2  # (row, column, letter): one qubit's factor of density_from_pauli
+_TRACE_BASIS = PAULI_BASIS.transpose(0, 2, 1)  # (letter, row, column): tr(P rho) = sum_rc P[c, r] rho[r, c]
 
 ALGEBRAIC_TOL = 1e-9
 PHYSICALITY_TOL = 1e-6
@@ -55,17 +57,18 @@ def pauli_operator(label: str) -> np.ndarray:
     The first character acts on qubit 0 (most significant position).
     """
     if not label or any(ch not in PAULI for ch in label):
-        raise ValueError(f"not a Pauli label: {label!r}")
+        raise BadArgument(f"not a Pauli label: {label!r}")
     return tensor(*(PAULI[ch] for ch in label))
 
 
-def contract_qubits(t: np.ndarray, op: np.ndarray, n: int, k_in: int) -> np.ndarray:
+def contract_qubits(t: np.ndarray, op: np.ndarray, k_in: int) -> np.ndarray:
     """Contract ``op`` (output axes, then ``k_in`` input axes) into every qubit of ``t``.
 
-    ``t`` has ``k_in`` groups of ``n`` axes, one per qubit (rho as (2,)*2n has
+    ``t`` has ``k_in`` groups of n = ``t.ndim // k_in`` axes, one per qubit (rho as (2,)*2n has
     rows and columns); the result has one such group per output axis.  Each qubit
     is one transpose, reshape and ``@`` of ``op`` as a matrix, its outputs moved last.
     """
+    n = t.ndim // k_in
     k_out = op.ndim - k_in
     m = op.reshape(math.prod(op.shape[:k_out]), -1)
     t = t.transpose([g * n + q for q in range(n) for g in range(k_in)])  # qubit-major
@@ -81,13 +84,22 @@ def density_from_pauli(coeffs: np.ndarray) -> np.ndarray:
     order.  Each qubit's factor carries its 1/2, so the 1/2^n is exact.
     """
     n = coeffs.ndim
-    return contract_qubits(coeffs, _HALF_BASIS, n, 1).reshape(2 ** n, 2 ** n)
+    return contract_qubits(coeffs, _HALF_BASIS, 1).reshape(2 ** n, 2 ** n)
+
+
+def pauli_from_density(rho: np.ndarray) -> np.ndarray:
+    """The (4,)*n tensor of c_L = tr(P_L rho) of a 2^n x 2^n matrix, the inverse of :func:`density_from_pauli`.
+
+    The Pauli strings span all matrices, so a non-Hermitian ``rho`` has complex coefficients.
+    """
+    n = len(rho).bit_length() - 1
+    return contract_qubits(rho.reshape((2,) * (2 * n)), _TRACE_BASIS, 2)
 
 
 def ket(bits: str) -> np.ndarray:
     """Computational basis state for a bit string, e.g. ket("010")."""
     if not bits or any(b not in "01" for b in bits):
-        raise ValueError(f"not a bit string: {bits!r}")
+        raise BadArgument(f"not a bit string: {bits!r}")
     vec = np.zeros(2 ** len(bits), dtype=complex)
     vec[int(bits, 2)] = 1.0
     return vec
@@ -224,7 +236,10 @@ def make_physical(rho_raw: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def partial_trace(rho: np.ndarray, keep: Iterable[int], n_qubits: int | None = None) -> np.ndarray:
-    """Reduced density matrix on the ``keep`` qubits (ascending index order)."""
+    """Reduced density matrix on the ``keep`` qubits (ascending index order).
+
+    It is the slice of the Pauli coefficients with letter I (index 0) on every traced qubit.
+    """
     m = _as_square(rho, "rho")
     n = n_qubits if n_qubits is not None else int(round(np.log2(m.shape[0])))
     if m.shape[0] != 2 ** n:
@@ -232,12 +247,4 @@ def partial_trace(rho: np.ndarray, keep: Iterable[int], n_qubits: int | None = N
     kept = sorted(set(keep))
     if any(q < 0 or q >= n for q in kept):
         raise DimensionMismatch(f"keep={kept} out of range for {n} qubits")
-    t = m.reshape((2,) * (2 * n))
-    row = list(range(n))
-    col = list(range(n, 2 * n))
-    for q in range(n):
-        if q not in kept:
-            col[q] = row[q]
-    out = [row[q] for q in kept] + [col[q] for q in kept]
-    d = 2 ** len(kept)
-    return np.einsum(t, row + col, out).reshape(d, d)
+    return density_from_pauli(pauli_from_density(m)[tuple(slice(None) if q in kept else 0 for q in range(n))])

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import qmath
 from .circuit import CHECKS, BellKind, Circuit, bell_prep, composite_state
-from .errors import BadDimensions, NonHermitianBeyondTolerance, ParseError
+from .errors import BadArgument, BadDimensions, NonHermitianBeyondTolerance, ParseError
 
 MATRIX_DIM = 8
 HERMITICITY_TOL = 2e-3
@@ -74,7 +74,7 @@ def stage(kind: BellKind, name: str) -> tuple[str, str, Circuit]:
     """Label (``psi_minus_1.phase``), ideal-state token and circuit of a stage: the pair, then its check block."""
     bits = dict(zip(STAGES, (0, kind.phase_bit, kind.parity_bit)))  # the bit each block leaves on the ancilla
     if name not in bits:
-        raise ValueError(f"unknown stage {name!r}")
+        raise BadArgument(f"unknown stage {name!r}")
     token = _TOKEN_OF[kind, bits[name]]
     circuit = bell_prep(kind).extend(CHECKS[name]()) if name in CHECKS else bell_prep(kind)
     return f"{token}.{name}", token, circuit

@@ -16,12 +16,12 @@ A noisy rho is evolved as its real Pauli coefficients c_L = tr(P_L rho), a
 transfer matrix, and each maximal run of them on at most two qubits is one
 matrix of at most 16x16, as a state vector's runs of four qubits are, applied
 to its qubits' axes.  Here rho = sum_L c_L P_L / 2^n is formed only by
-``final_density``, through :func:`belldisc.qmath.density_from_pauli`, which
-``tomography.reconstruct`` also calls; a Z outcome b of a qubit has probability
-(c_I +- c_Z) / 2 on its axis.  A circuit whose gates carry no depolarizing
-noise is evolved as a 2^n state vector, and its law is |psi|^2.  Seeds and streams are integers
-taken modulo 2^64.  ``_readout`` folds the flip of one bit into a law, on that
-bit's axis: ``exact_distribution`` is
+``final_density``, with or without noise, through :func:`belldisc.qmath.density_from_pauli`,
+which ``tomography.reconstruct`` also calls; a Z outcome b of a qubit has probability
+(c_I +- c_Z) / 2 on its axis.  The law of a circuit whose gates carry no depolarizing
+noise comes from a 2^n state vector instead, as |psi|^2.  Seeds and streams are integers
+taken modulo 2^64.  ``_readout`` is one bit's 2x2 readout matrix F, which
+:func:`belldisc.qmath.contract_qubits` applies to every measured bit's axis: ``exact_distribution`` is
 the post-readout law, and ``sample`` draws it in one multinomial draw keyed by
 ``(seed, stream)``, its CDF rounded to multiples of 2^-32 so that laws differing
 only by round-off draw the same counts.  ``sample_settings`` draws all Pauli
@@ -32,8 +32,8 @@ re-keyed per setting.
 """
 from __future__ import annotations
 
-import itertools
 import json
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import reduce
 from typing import Mapping
@@ -43,6 +43,7 @@ import numpy as np
 from . import qmath
 from .circuit import GATE_MATRICES, Circuit, Gate, _is_int, evolve, lift, simulate
 from .errors import (
+    BadArgument,
     DimensionMismatch,
     HasMeasurements,
     IdentityInSetting,
@@ -66,8 +67,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         for f in fields(self):
             p = getattr(self, f.name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{f.name} must be in [0, 1], got {p}")
+            if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+                raise BadArgument(f"{f.name} must be in [0, 1], got {p!r}")
 
     @property
     def is_ideal(self) -> bool:
@@ -135,14 +136,15 @@ def _check_shots(shots) -> int:
 
 
 def _pauli_transfer(u: np.ndarray) -> np.ndarray:
-    """R[i, j] = tr(P_i U P_j U^+) / 2^k over the k-qubit Pauli strings, letters IXYZ in qubit order.
+    """R[i, j] = tr(P_i U P_j U^+) / 2^k over the k-qubit Pauli strings: column j is U P_j U^+ / 2^k in the Pauli basis.
 
     Every gate kind is a Clifford, so R is a signed permutation: rounding takes off only the
     round-off of H's 1/sqrt(2) entries, and the identity row stays e_0, so the trace stays 1.
     """
-    k = len(u).bit_length() - 1
-    paulis = np.array([qmath.pauli_operator("".join(s)) for s in itertools.product("IXYZ", repeat=k)])
-    return np.rint(np.einsum("aij,jk,bkl,il->ab", paulis, u, paulis, u.conj()).real / len(u))
+    d = len(u)
+    basis = np.eye(d * d).reshape((d * d,) + (4,) * (d.bit_length() - 1))  # e_j, each a (4,)*k tensor
+    columns = [qmath.pauli_from_density(u @ qmath.density_from_pauli(e) @ u.conj().T) for e in basis]
+    return np.rint(np.array(columns).real.reshape(d * d, d * d).T)
 
 
 def _stacked(matrices: dict[str, np.ndarray]) -> dict[int, tuple[tuple, np.ndarray]]:
@@ -190,19 +192,15 @@ def _coefficients(circuit: Circuit, tables: dict[int, dict[tuple, np.ndarray]]) 
 
 
 def final_density(circuit: Circuit, noise: NoiseModel = IDEAL) -> np.ndarray:
-    """Density matrix after the gates and their noise channels.
-
-    Without depolarizing noise it is |psi><psi| of a 2^n state vector; otherwise it is
+    """Density matrix after the gates and their noise channels, with or without noise:
     :func:`belldisc.qmath.density_from_pauli` of the real Pauli coefficients of :func:`_coefficients`.
     """
-    if _pure(circuit, noise):
-        return qmath.projector(simulate(circuit))
     return qmath.density_from_pauli(_coefficients(circuit, _tables(noise)))
 
 
-def _readout(t: np.ndarray, r: float, axis: int) -> np.ndarray:
-    """The law ``t`` after the bit indexed by ``axis`` is read out, flipping with probability r."""
-    return (1.0 - r) * t + r * np.flip(t, axis)
+def _readout(r: float) -> np.ndarray:
+    """F[b', b], the probability that a bit b is read out as b', flipping with probability r."""
+    return np.array([[1.0 - r, r], [r, 1.0 - r]])
 
 
 def _law(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
@@ -215,12 +213,10 @@ def _law(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
         probs = (psi * psi.conj()).real.sum(axis=tuple(q for q in range(n) if q not in circuit.measured))
     else:  # the unmeasured qubits traced out: their letter I
         c = _coefficients(circuit, _tables(noise))[tuple(slice(None) if q in circuit.measured else 0 for q in range(n))]
-        probs = qmath.contract_qubits(c, _OUTCOMES, c.ndim, 1)
+        probs = qmath.contract_qubits(c, _OUTCOMES, 1)
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
-    for axis in range(probs.ndim):
-        probs = _readout(probs, noise.readout_flip, axis)
-    return probs.reshape(-1)
+    return qmath.contract_qubits(probs, _readout(noise.readout_flip), 1).reshape(-1)
 
 
 def exact_distribution(circuit: Circuit, noise: NoiseModel = IDEAL) -> dict[str, float]:
@@ -293,7 +289,7 @@ def sample_settings(
     Row i equals ``sample(with_basis_change(circuit, setting_i), ..., stream=i)``: the noisy
     rotation and readout of each qubit act on it alone, so each qubit's axis of the Pauli
     coefficients is one matmul with M[s, b, l], the probability of outcome b in basis s
-    per unit of coefficient l, read out on its axis b by ``_readout``.  M[s, b] is the
+    per unit of coefficient l, read out as F @ M with F of ``_readout``.  M[s, b] is the
     Z-outcome row (c_I +- c_Z) / 2 multiplied through basis s's rotations, each with its
     noise, as the one-qubit :func:`_channels` that ``evolve`` applies.  The circuit must be unmeasured.
     """
@@ -306,7 +302,7 @@ def sample_settings(
     tables = _tables(noise)
     m = np.array([reduce(lambda e, kind: e @ tables[1][kind, 0], gates[::-1], _OUTCOMES)
                   for gates in _BASIS_CHANGE.values()])
-    law = qmath.contract_qubits(_coefficients(circuit, tables), _readout(m, noise.readout_flip, 1), n, 1)
+    law = qmath.contract_qubits(_coefficients(circuit, tables), _readout(noise.readout_flip) @ m, 1)
     return _draw(law.reshape(3 ** n, 2 ** n), shots, _key("seed", seed), range(3 ** n))
 
 
@@ -323,7 +319,7 @@ def with_basis_change(circuit: Circuit, setting: str) -> Circuit:
     if "I" in setting:
         raise IdentityInSetting(f"setting {setting!r} contains identity")
     if any(ch not in _BASIS_CHANGE for ch in setting):
-        raise ValueError(f"setting {setting!r} has letters outside {', '.join(_BASIS_CHANGE)}")
+        raise BadArgument(f"setting {setting!r} has letters outside {', '.join(_BASIS_CHANGE)}")
     n = circuit.n_qubits
     rotations = tuple(Gate(kind, q) for q, ch in enumerate(setting) for kind in _BASIS_CHANGE[ch])
     return circuit.extend(Circuit(n, rotations, frozenset(range(n))))

@@ -27,8 +27,9 @@ from typing import Mapping
 import numpy as np
 
 from . import qmath
-from .circuit import Circuit
+from .circuit import Circuit, _is_int
 from .errors import (
+    BadArgument,
     DimensionMismatch,
     IncompleteTable,
     InconsistentShotTotals,
@@ -47,12 +48,12 @@ class TomographyPlan:
 
 def plan(n_qubits: int) -> TomographyPlan:
     """All 3^n measurement settings over {X, Y, Z}, lexicographic."""
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be at least 1")
+    if not _is_int(n_qubits) or n_qubits < 1:
+        raise BadArgument(f"n_qubits must be an integer of at least 1, got {n_qubits!r}")
     if n_qubits > MAX_TOMOGRAPHY_QUBITS:
         raise TooManyQubits(f"{n_qubits} qubits would need 3^{n_qubits} settings")
     settings = tuple("".join(s) for s in itertools.product("XYZ", repeat=n_qubits))
-    return TomographyPlan(n_qubits, settings)
+    return TomographyPlan(int(n_qubits), settings)
 
 
 def _labels(n_qubits: int) -> tuple[str, ...]:
@@ -74,7 +75,7 @@ _RAW = np.einsum("lrc,lsb->rcsb", qmath.PAULI_BASIS, _SIGNS)  # estimation and i
 def _estimate(counts: np.ndarray, shots: int) -> np.ndarray:
     """Coefficients in label order from (3^n, 2^n) setting counts."""
     n = counts.shape[1].bit_length() - 1
-    signed = qmath.contract_qubits(counts.reshape((3,) * n + (2,) * n), _SIGNS, n, 2)
+    signed = qmath.contract_qubits(counts.reshape((3,) * n + (2,) * n), _SIGNS, 2)
     return signed.reshape(-1) / shots
 
 
@@ -113,9 +114,7 @@ def exact_expectations(rho: np.ndarray) -> ExpectationTable:
     n = int(round(np.log2(m.shape[0])))
     if m.shape != (2 ** n, 2 ** n):
         raise DimensionMismatch(f"not a square power-of-two matrix: {m.shape}")
-    # Tr(rho sigma) = sum_ij rho_ij sigma_ji, one qubit at a time
-    basis = qmath.PAULI_BASIS.transpose(0, 2, 1)
-    coeffs = qmath.contract_qubits(m.reshape((2,) * (2 * n)), basis, n, 2).real.reshape(-1)
+    coeffs = qmath.pauli_from_density(m).real.reshape(-1)
     return ExpectationTable(n, dict(zip(_labels(n), coeffs.tolist())))
 
 
@@ -192,7 +191,7 @@ def run_tomography(
         raise DimensionMismatch(f"ideal has shape {ideal_m.shape}, circuit needs {(2 ** n, 2 ** n)}")
 
     counts = sample_settings(circuit, shots, noise, seed).reshape((3,) * n + (2,) * n)
-    raw = qmath.contract_qubits(counts, _RAW, n, 2).reshape(2 ** n, 2 ** n) / (shots * 2 ** n)
+    raw = qmath.contract_qubits(counts, _RAW, 2).reshape(2 ** n, 2 ** n) / (shots * 2 ** n)
     physical, clipped = qmath.make_physical(raw)
     return TomographyReport(
         raw=raw,

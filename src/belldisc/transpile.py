@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .circuit import Circuit, Gate, combined_check, parity_check, phase_check
+from .circuit import Circuit, Gate, _is_int, combined_check, parity_check, phase_check
 from .errors import BadQubitIndex, ParseError, UnroutableCircuit
 
 
@@ -33,6 +33,10 @@ class CouplingMap:
     allowed: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
+        for q in (self.n_physical, *(q for pair in self.allowed for q in pair)):
+            if not _is_int(q):
+                raise BadQubitIndex(f"qubit count or index {q!r} is not an integer")
+        object.__setattr__(self, "n_physical", int(self.n_physical))
         object.__setattr__(self, "allowed", frozenset((int(c), int(t)) for c, t in self.allowed))
         for c, t in self.allowed:
             if c == t:
@@ -59,8 +63,8 @@ class CouplingMap:
         try:
             n, pairs = data["n_physical"], [tuple(p) for p in data["allowed"]]
             for q in (n, *(q for pair in pairs for q in pair)):
-                if isinstance(q, bool) or not isinstance(q, int):
-                    raise ValueError(f"qubit count or index {q!r} is not an integer")
+                if not _is_int(q):
+                    raise ParseError(f"bad coupling map payload: qubit count or index {q!r} is not an integer")
             return cls(n, frozenset(pairs))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad coupling map payload: {exc}") from exc

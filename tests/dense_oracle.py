@@ -7,7 +7,8 @@ strings, and fidelity diagonalizes its first argument every time.  This is
 slow and obviously correct; the package's tensor kernels, batched tomography
 and pure-state fidelity must agree with it.  ``superoperator`` is a gate and
 its channel acting on rho's entries, the complex form whose real Pauli-basis
-image the package's channel tables must be.  ``sample_per_shot`` draws the
+image the package's channel tables must be, and ``partial_trace`` is the index
+contraction that the package's Pauli-coefficient slice replaced.  ``sample_per_shot`` draws the
 same law shot by shot, so the law tests can check both draws.  Nothing under
 ``src/`` imports this module.
 """
@@ -103,6 +104,20 @@ def final_density(circuit: Circuit, noise: NoiseModel = IDEAL) -> np.ndarray:
         if p > 0.0:
             rho = twirl_depolarize(rho, g.qubits, n, p)
     return rho
+
+
+def partial_trace(rho: np.ndarray, keep, n: int) -> np.ndarray:
+    """Reduced matrix on the ``keep`` qubits (ascending order): one einsum that ties each traced row axis to its column."""
+    kept = sorted(set(keep))
+    t = np.asarray(rho, dtype=complex).reshape((2,) * (2 * n))
+    row = list(range(n))
+    col = list(range(n, 2 * n))
+    for q in range(n):
+        if q not in kept:
+            col[q] = row[q]
+    out = [row[q] for q in kept] + [col[q] for q in kept]
+    d = 2 ** len(kept)
+    return np.einsum(t, row + col, out).reshape(d, d)
 
 
 def _measured_probs(rho: np.ndarray, measured: tuple[int, ...], n: int) -> np.ndarray:

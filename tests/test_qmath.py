@@ -382,6 +382,38 @@ class TestPartialTrace:
         with pytest.raises(DimensionMismatch):
             qmath.partial_trace(np.eye(4) / 4, keep=[0], n_qubits=3)
 
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(0, n - 1)))), seeds)
+    @settings(deadline=None, max_examples=200)
+    def test_matches_the_dense_einsum(self, register, seed):
+        # any complex matrix, not only a state: the Pauli strings span all matrices
+        n, keep = register
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+        got, expected = qmath.partial_trace(m, keep), oracle.partial_trace(m, keep, n)
+        assert got.shape == expected.shape == (2 ** len(keep),) * 2 and got.dtype == np.complex128
+        assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+    def test_empty_keep_is_the_trace(self):
+        m = np.arange(16).reshape(4, 4) * (1 + 1j)
+        assert np.array_equal(qmath.partial_trace(m, ()), np.array([[np.trace(m)]]))
+
+
+class TestPauliCoefficients:
+    @given(st.integers(1, 5), st.booleans(), seeds)
+    @settings(deadline=None, max_examples=100)
+    def test_round_trip(self, n, complex_, seed):
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(-1, 1, (4,) * n) + (1j * rng.uniform(-1, 1, (4,) * n) if complex_ else 0)
+        assert np.abs(qmath.pauli_from_density(qmath.density_from_pauli(c)) - c).max() <= 1e-15
+
+    @given(st.integers(1, 4), seeds)
+    @settings(deadline=None, max_examples=50)
+    def test_coefficients_are_traces_against_pauli_strings(self, n, seed):
+        rho = random_density(np.random.default_rng(seed), 2 ** n)
+        got = qmath.pauli_from_density(rho).reshape(-1)
+        expected = [np.trace(qmath.pauli_operator(label) @ rho) for label in oracle.labels(n)]
+        assert np.abs(got - expected).max() <= 1e-12
+
 
 def _contract_reference(t, op, n, k_in):
     """np.einsum of ``t`` with one copy of ``op`` per qubit: label g * n + q is input group g of qubit q."""
@@ -414,7 +446,7 @@ class TestContractQubits:
         in_dims = in_dims[:k_in]
         t = draw(tuple(d for d in in_dims for _ in range(n)), dtypes[0])
         op = draw(tuple(out_dims + in_dims), dtypes[1])
-        got, expected = qmath.contract_qubits(t, op, n, k_in), _contract_reference(t, op, n, k_in)
+        got, expected = qmath.contract_qubits(t, op, k_in), _contract_reference(t, op, n, k_in)
         assert got.shape == expected.shape and got.dtype == expected.dtype
         if got.dtype == np.int64:
             assert np.array_equal(got, expected)

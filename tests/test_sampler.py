@@ -31,7 +31,7 @@ from belldisc.sampler import (
     with_basis_change,
 )
 from belldisc.tomography import plan
-from conftest import circuits, noise_models, random_circuit
+from conftest import circuits, noise_models, probabilities, random_circuit
 
 
 class TestNoiseModel:
@@ -450,6 +450,20 @@ class TestDepolarizing:
         c = bell_prep(BellKind.PSI_MINUS).x(2).s(1).s(1)
         c = c.extend(Circuit(3).cnot(0, 2))
         assert qmath.purity(final_density(c)) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestExactCliffordDensity:
+    """final_density is formed from the Pauli coefficients, so a noise-free Clifford state is exact."""
+
+    @given(circuits(), st.one_of(st.just(0.0), probabilities))
+    @settings(deadline=None, max_examples=200)
+    def test_noise_free_density_is_exact(self, c, readout):
+        # coefficients in {0, +-1}, so 2^n rho sums +-1 and +-i: Gaussian integers with no round-off
+        rho = final_density(c, NoiseModel(readout_flip=readout))
+        scaled = rho * 2 ** c.n_qubits
+        assert np.array_equal(scaled, np.round(scaled.real) + 1j * np.round(scaled.imag))
+        assert np.array_equal(rho, rho.conj().T)
+        assert np.abs(rho - oracle.final_density(c)).max() <= 1e-12
 
 
 class TestReadout:

@@ -49,6 +49,24 @@ class TestCouplingMap:
         with pytest.raises(BadQubitIndex):
             CouplingMap(2, frozenset({(0, 5)}))
 
+    @pytest.mark.parametrize("n_physical, allowed", [
+        (5, {(0.5, 2)}),
+        (5, {(0, 2.0)}),
+        (5, {(True, 2)}),
+        (2.5, {(0, 1)}),
+        (True, frozenset()),
+        (np.bool_(True), frozenset()),
+    ])
+    def test_rejects_non_integer_indices_without_truncating(self, n_physical, allowed):
+        with pytest.raises(BadQubitIndex):
+            CouplingMap(n_physical, frozenset(allowed))
+
+    def test_stores_numpy_integers_as_int(self):
+        cmap = CouplingMap(np.int64(5), frozenset({(np.int32(0), np.int64(2))}))
+        assert cmap == CouplingMap(5, frozenset({(0, 2)}))
+        assert type(cmap.n_physical) is int
+        assert all(type(q) is int for pair in cmap.allowed for q in pair)
+
     def test_json_round_trip(self, tmp_path):
         data = DEFAULT_MAP.to_json_dict()
         assert CouplingMap.from_json_dict(data) == DEFAULT_MAP
