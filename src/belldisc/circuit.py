@@ -25,6 +25,7 @@ from .errors import (
     HasMeasurements,
     HasMeasurementsBeforeEnd,
     ParseError,
+    as_int,
 )
 
 GATE_KINDS = ("H", "X", "S", "SDG", "CNOT")
@@ -41,17 +42,12 @@ GATE_MATRICES = {
 }
 
 
-def _is_int(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer, not a bool; a plain int passes on its type alone, the fast path."""
-    return type(value) is int or not isinstance(value, (bool, np.bool_)) and isinstance(value, (int, np.integer))
-
-
 @dataclass(frozen=True)
 class Gate:
     """One gate of ``kind`` on ``target``, controlled by ``control`` for a CNOT.
 
-    Qubit indices are non-negative integers: a numpy integer is taken as its ``int``, and a
-    bool, a float or any other value raises :class:`BadQubitIndex`.
+    Qubit indices are non-negative integers under :func:`belldisc.errors.as_int`: a numpy integer
+    is stored as its ``int``, and a bool, a float or any other value raises :class:`BadQubitIndex`.
     """
 
     kind: str
@@ -64,19 +60,14 @@ class Gate:
         if self.kind == "CNOT":
             if self.control is None:
                 raise BadArgument("CNOT needs a control qubit")
+            if type(self.control) is not int or self.control < 0:  # a plain index is stored as it is
+                object.__setattr__(self, "control", as_int(self.control, BadQubitIndex, "qubit index", 0))
             if self.control == self.target:
                 raise BadQubitIndex("CNOT control and target must differ")
         elif self.control is not None:
             raise BadArgument(f"{self.kind} takes no control qubit")
-        for q in self.qubits:
-            if not _is_int(q):
-                raise BadQubitIndex(f"qubit index {q!r} is not an integer")
-            if q < 0:
-                raise BadQubitIndex(f"negative qubit index {q}")
-        if type(self.target) is not int:
-            object.__setattr__(self, "target", int(self.target))
-        if self.control is not None and type(self.control) is not int:
-            object.__setattr__(self, "control", int(self.control))
+        if type(self.target) is not int or self.target < 0:
+            object.__setattr__(self, "target", as_int(self.target, BadQubitIndex, "qubit index", 0))
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -102,8 +93,8 @@ def _check_unmeasured(gates, measured: set[int] | frozenset[int]) -> None:
 class Circuit:
     """``gates`` in order on a register of ``n_qubits``, then measurement markers on ``measured``.
 
-    The register size and the measured qubits are integers, as :class:`Gate`'s indices are:
-    numpy integers are taken as ``int``, and bools and floats raise :class:`BadQubitIndex`.
+    The register size and the measured qubits follow the rule of :class:`Gate`'s indices:
+    numpy integers are stored as ``int``, and bools and floats raise :class:`BadQubitIndex`.
     """
 
     n_qubits: int
@@ -111,24 +102,17 @@ class Circuit:
     measured: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        if not _is_int(self.n_qubits):
-            raise BadQubitIndex(f"register size {self.n_qubits!r} is not an integer")
-        if self.n_qubits < 1:
-            raise BadQubitIndex("a circuit needs at least one qubit")
-        if type(self.n_qubits) is not int:
-            object.__setattr__(self, "n_qubits", int(self.n_qubits))
+        if type(self.n_qubits) is not int or self.n_qubits < 1:
+            object.__setattr__(self, "n_qubits", as_int(self.n_qubits, BadQubitIndex, "register size", 1))
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             for q in g.qubits:
                 if q >= self.n_qubits:
                     raise BadQubitIndex(f"gate {g.text()!r} outside register of {self.n_qubits}")
         measured = frozenset(self.measured)
-        for q in measured:
-            if not _is_int(q):
-                raise BadQubitIndex(f"measured qubit {q!r} is not an integer")
-            if not 0 <= q < self.n_qubits:
-                raise BadQubitIndex(f"measured qubit {q} outside register of {self.n_qubits}")
-        object.__setattr__(self, "measured", frozenset(map(int, measured)))
+        if any(type(q) is not int or not 0 <= q < self.n_qubits for q in measured):
+            measured = frozenset(as_int(q, BadQubitIndex, "measured qubit", 0, self.n_qubits) for q in measured)
+        object.__setattr__(self, "measured", measured)
 
     # -- construction (every method returns a new circuit) --
 
@@ -320,10 +304,8 @@ def bell_vector(kind: BellKind) -> np.ndarray:
 
 
 def composite_state(kind: BellKind, ancilla_bit: int) -> np.ndarray:
-    """Bell pair on qubits (0, 1) joined by an ancilla qubit in |0> or |1>."""
-    if ancilla_bit not in (0, 1):
-        raise BadArgument("ancilla_bit must be 0 or 1")
-    return np.kron(bell_vector(kind), qmath.ket(str(ancilla_bit)))
+    """Bell pair on qubits (0, 1) joined by an ancilla in |ancilla_bit>, the integer 0 or 1 (a bool or float raises)."""
+    return np.kron(bell_vector(kind), qmath.ket(str(as_int(ancilla_bit, BadArgument, "ancilla_bit", 0, 2))))
 
 
 def bell_prep(kind: BellKind, system: tuple[int, int] = (0, 1), n_qubits: int = 3) -> Circuit:

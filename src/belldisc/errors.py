@@ -1,4 +1,4 @@
-"""Exception types raised by the public API.
+"""Exception types raised by the public API, and :func:`as_int`, the rule every integer argument passes.
 
 Everything derives from :class:`BelldiscError` so callers (notably the CLI)
 can catch one base class for "bad input or bad data" and map it to a nonzero
@@ -7,6 +7,8 @@ exit code.  An argument of the wrong type or out of its domain raises
 """
 from __future__ import annotations
 
+import numbers
+
 
 class BelldiscError(Exception):
     """Base class for all errors raised by this package."""
@@ -14,6 +16,27 @@ class BelldiscError(Exception):
 
 class BadArgument(BelldiscError, ValueError):
     """An argument has the wrong type or a value outside its domain (also a ValueError)."""
+
+
+class BadSeed(BadArgument, TypeError):
+    """A seed or stream is not an integer (also a TypeError, as numpy raises for such a seed)."""
+
+
+def as_int(value, error: type[BelldiscError], what: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an ``int`` if it is a Python or numpy integer, not a bool, with ``low <= value < high``.
+
+    Anything else raises ``error``, naming ``what`` and the range; a bound of None is open.
+    """
+    if type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        value = int(value)
+        if (low is None or low <= value) and (high is None or value < high):
+            return value
+    if high is None:
+        domain = "" if low is None else f" of at least {low}"
+    else:  # a power-of-two bound reads as 2^63 - 1, not as its 19 digits
+        top = f"2^{high.bit_length() - 1} - 1" if high > 2 ** 32 and not high & (high - 1) else high - 1
+        domain = f" from {low} to {top}"
+    raise error(f"{what} must be an integer{domain}, got {value!r}")
 
 
 # ---- linear algebra / state validation ----

@@ -25,6 +25,7 @@ from .errors import (
     NotHermitian,
     NotSquare,
     StronglyNonPositive,
+    as_int,
 )
 
 PAULI: dict[str, np.ndarray] = {
@@ -238,13 +239,16 @@ def make_physical(rho_raw: np.ndarray) -> tuple[np.ndarray, bool]:
 def partial_trace(rho: np.ndarray, keep: Iterable[int], n_qubits: int | None = None) -> np.ndarray:
     """Reduced density matrix on the ``keep`` qubits (ascending index order).
 
-    It is the slice of the Pauli coefficients with letter I (index 0) on every traced qubit.
+    It is the slice of the Pauli coefficients with letter I (index 0) on every traced qubit.  ``keep``
+    and ``n_qubits`` are integers: a bool, a float or a qubit outside the register raises :class:`DimensionMismatch`.
     """
     m = _as_square(rho, "rho")
-    n = n_qubits if n_qubits is not None else int(round(np.log2(m.shape[0])))
-    if m.shape[0] != 2 ** n:
-        raise DimensionMismatch(f"dimension {m.shape[0]} is not 2^{n}")
-    kept = sorted(set(keep))
-    if any(q < 0 or q >= n for q in kept):
-        raise DimensionMismatch(f"keep={kept} out of range for {n} qubits")
+    dim = m.shape[0]
+    if n_qubits is None:
+        n = int(round(np.log2(dim)))
+    else:  # bounded before 2^n is formed, which for a huge n would not finish
+        n = as_int(n_qubits, DimensionMismatch, "n_qubits", 0, dim.bit_length())
+    if dim != 2 ** n:
+        raise DimensionMismatch(f"dimension {dim} is not 2^{n}")
+    kept = {as_int(q, DimensionMismatch, "kept qubit", 0, n) for q in keep}
     return density_from_pauli(pauli_from_density(m)[tuple(slice(None) if q in kept else 0 for q in range(n))])

@@ -41,9 +41,10 @@ from typing import Mapping
 import numpy as np
 
 from . import qmath
-from .circuit import GATE_MATRICES, Circuit, Gate, _is_int, evolve, lift, simulate
+from .circuit import GATE_MATRICES, Circuit, Gate, evolve, lift, simulate
 from .errors import (
     BadArgument,
+    BadSeed,
     DimensionMismatch,
     HasMeasurements,
     IdentityInSetting,
@@ -51,6 +52,7 @@ from .errors import (
     ParseError,
     TooManyQubits,
     ZeroShots,
+    as_int,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -87,17 +89,14 @@ class CountsHistogram:
     counts: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not _is_int(self.n_bits) or self.n_bits < 1:
-            raise DimensionMismatch(f"histogram needs a positive integer number of bits, got {self.n_bits!r}")
-        object.__setattr__(self, "n_bits", int(self.n_bits))
+        object.__setattr__(self, "n_bits", as_int(self.n_bits, DimensionMismatch, "n_bits", 1))
         object.__setattr__(self, "shots", _check_shots(self.shots))
         coerced: dict[str, int] = {}
         for key, cnt in dict(self.counts).items():
             if len(key) != self.n_bits or any(b not in "01" for b in key):
                 raise ParseError(f"bad outcome key {key!r} for {self.n_bits} bits")
-            if not _is_int(cnt) or cnt < 0:
-                raise ParseError(f"bad count {cnt!r} for outcome {key!r}")
-            coerced[key] = int(cnt)
+            ok = type(cnt) is int and cnt >= 0  # a plain count is stored as it is, with no message formatted
+            coerced[key] = cnt if ok else as_int(cnt, ParseError, f"count of outcome {key!r}", 0)
         object.__setattr__(self, "counts", coerced)
         if sum(coerced.values()) != self.shots:
             raise ParseError(f"counts sum to {sum(coerced.values())}, expected {self.shots} shots")
@@ -130,9 +129,7 @@ class CountsHistogram:
 
 def _check_shots(shots) -> int:
     """``shots`` as an int from 1 to 2^63 - 1, what an int64 count and numpy's multinomial hold."""
-    if not _is_int(shots) or not 1 <= shots <= 2 ** 63 - 1:
-        raise ZeroShots(f"shots must be an integer from 1 to 2^63 - 1, got {shots!r}")
-    return int(shots)
+    return as_int(shots, ZeroShots, "shots", 1, 2 ** 63)
 
 
 def _pauli_transfer(u: np.ndarray) -> np.ndarray:
@@ -240,12 +237,6 @@ def _on_grid(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _key(name: str, value) -> int:
-    if not _is_int(value):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _draw(probs: np.ndarray, shots: int, seed: int, streams) -> np.ndarray:
     """Counts (rows, 2^m) of ``shots`` draws from each row of ``probs``, keyed by (seed, streams[i]) mod 2^64.
 
@@ -272,7 +263,8 @@ def sample(
     circuit: Circuit, shots: int, noise: NoiseModel = IDEAL, seed: int = 0, stream: int = 0
 ) -> CountsHistogram:
     """Draw ``shots`` outcomes from the post-readout law of :func:`exact_distribution`, in one draw."""
-    counts = _draw(_law(circuit, noise)[None], _check_shots(shots), _key("seed", seed), [_key("stream", stream)])[0]
+    seed, stream = as_int(seed, BadSeed, "seed"), as_int(stream, BadSeed, "stream")
+    counts = _draw(_law(circuit, noise)[None], _check_shots(shots), seed, [stream])[0]
     m = len(circuit.measured)
     return CountsHistogram(m, shots, {format(i, f"0{m}b"): int(c) for i, c in enumerate(counts) if c})
 
@@ -303,7 +295,7 @@ def sample_settings(
     m = np.array([reduce(lambda e, kind: e @ tables[1][kind, 0], gates[::-1], _OUTCOMES)
                   for gates in _BASIS_CHANGE.values()])
     law = qmath.contract_qubits(_coefficients(circuit, tables), _readout(noise.readout_flip) @ m, 1)
-    return _draw(law.reshape(3 ** n, 2 ** n), shots, _key("seed", seed), range(3 ** n))
+    return _draw(law.reshape(3 ** n, 2 ** n), shots, as_int(seed, BadSeed, "seed"), range(3 ** n))
 
 
 def with_basis_change(circuit: Circuit, setting: str) -> Circuit:

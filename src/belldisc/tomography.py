@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from . import qmath
-from .circuit import Circuit, _is_int
+from .circuit import Circuit
 from .errors import (
     BadArgument,
     DimensionMismatch,
@@ -35,6 +35,7 @@ from .errors import (
     InconsistentShotTotals,
     MissingSetting,
     TooManyQubits,
+    as_int,
 )
 from .refdata import matrix_parts
 from .sampler import IDEAL, MAX_TOMOGRAPHY_QUBITS, CountsHistogram, NoiseModel, sample_settings
@@ -48,12 +49,11 @@ class TomographyPlan:
 
 def plan(n_qubits: int) -> TomographyPlan:
     """All 3^n measurement settings over {X, Y, Z}, lexicographic."""
-    if not _is_int(n_qubits) or n_qubits < 1:
-        raise BadArgument(f"n_qubits must be an integer of at least 1, got {n_qubits!r}")
+    n_qubits = as_int(n_qubits, BadArgument, "n_qubits", 1)
     if n_qubits > MAX_TOMOGRAPHY_QUBITS:
         raise TooManyQubits(f"{n_qubits} qubits would need 3^{n_qubits} settings")
     settings = tuple("".join(s) for s in itertools.product("XYZ", repeat=n_qubits))
-    return TomographyPlan(int(n_qubits), settings)
+    return TomographyPlan(n_qubits, settings)
 
 
 def _labels(n_qubits: int) -> tuple[str, ...]:

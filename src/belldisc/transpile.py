@@ -23,8 +23,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .circuit import Circuit, Gate, _is_int, combined_check, parity_check, phase_check
-from .errors import BadQubitIndex, ParseError, UnroutableCircuit
+from .circuit import Circuit, Gate, combined_check, parity_check, phase_check
+from .errors import BadQubitIndex, ParseError, UnroutableCircuit, as_int
 
 
 @dataclass(frozen=True)
@@ -33,16 +33,15 @@ class CouplingMap:
     allowed: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        for q in (self.n_physical, *(q for pair in self.allowed for q in pair)):
-            if not _is_int(q):
-                raise BadQubitIndex(f"qubit count or index {q!r} is not an integer")
-        object.__setattr__(self, "n_physical", int(self.n_physical))
-        object.__setattr__(self, "allowed", frozenset((int(c), int(t)) for c, t in self.allowed))
-        for c, t in self.allowed:
+        n = as_int(self.n_physical, BadQubitIndex, "physical qubit count")
+        object.__setattr__(self, "n_physical", n)
+        pairs = frozenset(
+            tuple(as_int(q, BadQubitIndex, f"qubit of pair {pair}", 0, n) for q in pair) for pair in self.allowed
+        )
+        object.__setattr__(self, "allowed", pairs)
+        for c, t in pairs:
             if c == t:
                 raise BadQubitIndex(f"self-loop ({c}, {t}) in coupling map")
-            if not (0 <= c < self.n_physical and 0 <= t < self.n_physical):
-                raise BadQubitIndex(f"pair ({c}, {t}) outside {self.n_physical} physical qubits")
 
     def permits(self, control: int, target: int) -> bool:
         return (control, target) in self.allowed
@@ -63,8 +62,7 @@ class CouplingMap:
         try:
             n, pairs = data["n_physical"], [tuple(p) for p in data["allowed"]]
             for q in (n, *(q for pair in pairs for q in pair)):
-                if not _is_int(q):
-                    raise ParseError(f"bad coupling map payload: qubit count or index {q!r} is not an integer")
+                as_int(q, ParseError, "bad coupling map payload: qubit count or index")
             return cls(n, frozenset(pairs))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad coupling map payload: {exc}") from exc

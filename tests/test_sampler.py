@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 import belldisc.sampler
 import dense_oracle as oracle
 from belldisc import qmath
-from belldisc.circuit import BellKind, Circuit, Gate, bell_prep, combined_check, parity_check, simulate
+from belldisc.circuit import (
+    BellKind,
+    Circuit,
+    Gate,
+    bell_prep,
+    combined_check,
+    discrimination_circuit,
+    parity_check,
+    simulate,
+)
 from belldisc.errors import (
     DimensionMismatch,
     HasMeasurements,
@@ -31,6 +40,7 @@ from belldisc.sampler import (
     with_basis_change,
 )
 from belldisc.tomography import plan
+from belldisc.transpile import DEVICE_SYSTEM, device_combined_block, transpile
 from conftest import circuits, noise_models, probabilities, random_circuit
 
 
@@ -238,6 +248,48 @@ def _assert_within_total_variation(draw, c, noise, data, seed) -> None:
     hist = draw(c, shots, noise, seed)
     tv = 0.5 * sum(abs(hist.probability(k) - p) for k, p in exact_distribution(c, noise).items())
     assert tv <= 0.5 * np.sqrt(2 ** m / shots) + 0.04
+
+
+# Each block as the experiment measures it, for a given Bell kind.
+PAULI_FRAME_BLOCKS = {
+    "parity": lambda kind: discrimination_circuit(kind, "parity").measure(0, 1, 2),
+    "phase": lambda kind: discrimination_circuit(kind, "phase").measure(0, 1, 2),
+    "routed combined": lambda kind: (
+        bell_prep(kind, DEVICE_SYSTEM, 5).extend(transpile(device_combined_block())).measure(0, 3)
+    ),
+}
+
+
+def _noise_free_outcome(circuit: Circuit) -> int:
+    law = exact_distribution(circuit)
+    key = max(law, key=law.get)
+    assert law[key] == pytest.approx(1.0, abs=1e-12)
+    return int(key, 2)
+
+
+class TestPauliFrame:
+    """``bell_prep``'s X gates are a Pauli frame on the psi+ preparation, and every gate after them
+    is a Clifford.  The frame passes through CNOT depolarizing and readout noise, so each kind's
+    law is psi+'s with the measured bits flipped by a fixed mask.  It does not pass through a
+    depolarizing channel on the X gates themselves, so single-qubit gate noise stays 0 here."""
+
+    @pytest.mark.parametrize("block", PAULI_FRAME_BLOCKS)
+    @given(per_cnot=probabilities, readout=probabilities)
+    @settings(deadline=None, max_examples=30)
+    def test_each_kind_is_psi_plus_with_flipped_bits(self, block, per_cnot, readout):
+        build, noise = PAULI_FRAME_BLOCKS[block], NoiseModel(0.0, per_cnot, readout)
+        psi_plus = exact_distribution(build(BellKind.PSI_PLUS), noise)
+        width = len(next(iter(psi_plus)))
+        for kind in BellKind:
+            mask = _noise_free_outcome(build(kind)) ^ _noise_free_outcome(build(BellKind.PSI_PLUS))
+            for key, p in exact_distribution(build(kind), noise).items():
+                assert p == pytest.approx(psi_plus[format(int(key, 2) ^ mask, f"0{width}b")], abs=1e-12)
+
+    def test_routed_masks_are_the_table_1_ancilla_bits(self):
+        build = PAULI_FRAME_BLOCKS["routed combined"]
+        for kind in BellKind:
+            mask = _noise_free_outcome(build(kind)) ^ _noise_free_outcome(build(BellKind.PSI_PLUS))
+            assert format(mask, "02b") == f"{kind.phase_bit}{kind.parity_bit}"
 
 
 class TestCdfGrid:
