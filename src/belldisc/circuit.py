@@ -3,6 +3,9 @@
 A circuit is an immutable sequence of gates from the set {H, X, S, SDG, CNOT}
 on ``n_qubits`` wires plus a set of terminal measurement markers.  Markers are
 terminal by construction: appending a gate to a measured qubit raises.
+``Circuit(...)`` and :func:`parse_circuit` check every gate and marker; the
+builders (``append``, ``extend``, ``measure`` and ``transpile``) check only
+what they add, and build the result from parts already checked.
 
 Bit and ket conventions follow :mod:`belldisc.qmath` (qubit 0 = leftmost =
 most significant).  Bell-pair labels follow the convention of this experiment:
@@ -79,6 +82,22 @@ class Gate:
         return " ".join([self.kind, *map(str, self.qubits)])
 
 
+def _check_register(gates, n_qubits: int) -> None:
+    """Raise at the first gate with a qubit outside a register of ``n_qubits``."""
+    for g in gates:
+        for q in g.qubits:
+            if q >= n_qubits:
+                raise BadQubitIndex(f"gate {g.text()!r} outside register of {n_qubits}")
+
+
+def _check_measured(qubits, n_qubits: int) -> frozenset[int]:
+    """The measured qubits as a frozenset of ints from 0 to ``n_qubits`` - 1, under :func:`as_int`."""
+    measured = frozenset(qubits)
+    if any(type(q) is not int or not 0 <= q < n_qubits for q in measured):
+        measured = frozenset(as_int(q, BadQubitIndex, "measured qubit", 0, n_qubits) for q in measured)
+    return measured
+
+
 def _check_unmeasured(gates, measured: set[int] | frozenset[int]) -> None:
     """Raise at the first gate that touches an already measured qubit."""
     if not measured:
@@ -105,20 +124,22 @@ class Circuit:
         if type(self.n_qubits) is not int or self.n_qubits < 1:
             object.__setattr__(self, "n_qubits", as_int(self.n_qubits, BadQubitIndex, "register size", 1))
         object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            for q in g.qubits:
-                if q >= self.n_qubits:
-                    raise BadQubitIndex(f"gate {g.text()!r} outside register of {self.n_qubits}")
-        measured = frozenset(self.measured)
-        if any(type(q) is not int or not 0 <= q < self.n_qubits for q in measured):
-            measured = frozenset(as_int(q, BadQubitIndex, "measured qubit", 0, self.n_qubits) for q in measured)
-        object.__setattr__(self, "measured", measured)
+        _check_register(self.gates, self.n_qubits)
+        object.__setattr__(self, "measured", _check_measured(self.measured, self.n_qubits))
 
-    # -- construction (every method returns a new circuit) --
+    @classmethod
+    def _checked(cls, n_qubits: int, gates: tuple[Gate, ...], measured: frozenset[int]) -> "Circuit":
+        """A circuit of parts that already pass ``__post_init__`` together, built without it."""
+        circuit = object.__new__(cls)
+        vars(circuit).update(n_qubits=n_qubits, gates=gates, measured=measured)
+        return circuit
+
+    # -- construction (every method returns a new circuit, checking only what it adds) --
 
     def append(self, gate: Gate) -> "Circuit":
         _check_unmeasured((gate,), self.measured)
-        return Circuit(self.n_qubits, self.gates + (gate,), self.measured)
+        _check_register((gate,), self.n_qubits)
+        return Circuit._checked(self.n_qubits, self.gates + (gate,), self.measured)
 
     def h(self, q: int) -> "Circuit":
         return self.append(Gate("H", q))
@@ -136,16 +157,16 @@ class Circuit:
         return self.append(Gate("CNOT", target, control))
 
     def measure(self, *qubits: int) -> "Circuit":
-        return Circuit(self.n_qubits, self.gates, self.measured | set(qubits))
+        return Circuit._checked(self.n_qubits, self.gates, self.measured | _check_measured(qubits, self.n_qubits))
 
     def extend(self, other: "Circuit") -> "Circuit":
-        """Concatenate another circuit on the same register; the result is validated once."""
+        """Concatenate another circuit on the same register; checks only the sizes and the gates after measurements."""
         if other.n_qubits != self.n_qubits:
             raise DimensionMismatch(
                 f"cannot extend a {self.n_qubits}-qubit circuit with a {other.n_qubits}-qubit one"
             )
         _check_unmeasured(other.gates, self.measured)
-        return Circuit(self.n_qubits, self.gates + other.gates, self.measured | other.measured)
+        return Circuit._checked(self.n_qubits, self.gates + other.gates, self.measured | other.measured)
 
     @property
     def gate_count(self) -> int:

@@ -15,7 +15,8 @@ A noisy rho is evolved as its real Pauli coefficients c_L = tr(P_L rho), a
 :func:`belldisc.circuit.evolve`: each gate and its channel is one real Pauli
 transfer matrix, and each maximal run of them on at most two qubits is one
 matrix of at most 16x16, as a state vector's runs of four qubits are, applied
-to its qubits' axes.  Here rho = sum_L c_L P_L / 2^n is formed only by
+to its qubits' axes.  A :class:`NoiseModel` builds these matrices, and the setting
+law below, once, on first use, and holds them.  Here rho = sum_L c_L P_L / 2^n is formed only by
 ``final_density``, with or without noise, through :func:`belldisc.qmath.density_from_pauli`,
 which ``tomography.reconstruct`` also calls; a Z outcome b of a qubit has probability
 (c_I +- c_Z) / 2 on its axis.  The law of a circuit whose gates carry no depolarizing
@@ -35,7 +36,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field, fields
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Mapping
 
 import numpy as np
@@ -75,6 +76,20 @@ class NoiseModel:
     @property
     def is_ideal(self) -> bool:
         return self == IDEAL
+
+    @cached_property
+    def _tables(self) -> dict[int, dict[tuple, np.ndarray]]:
+        """:func:`_channels` of every run width, as :func:`evolve` takes them; built on first use, held by the model."""
+        return {width: _channels(self, width) for width in _PAULI_TRANSFER}
+
+    @cached_property
+    def _setting_law(self) -> np.ndarray:
+        """F @ M of :func:`sample_settings`, the (3, 2, 4) law of one qubit's settings; built on first use."""
+        rotate = self._tables[1]
+        m = [reduce(lambda e, kind: e @ rotate[kind, 0], gates[::-1], _OUTCOMES) for gates in _BASIS_CHANGE.values()]
+        law = _readout(self.readout_flip) @ np.array(m)
+        law.flags.writeable = False
+        return law
 
 
 IDEAL = NoiseModel()
@@ -161,7 +176,8 @@ def _depolarizing(noise: NoiseModel, kind: str) -> float:
 
 def _pure(circuit: Circuit, noise: NoiseModel) -> bool:
     """Whether no gate of the circuit carries depolarizing noise, so its state stays a vector."""
-    return not any(_depolarizing(noise, g.kind) for g in circuit.gates)
+    noise_free = not (noise.per_gate_depolarizing or noise.per_cnot_depolarizing)  # decided without reading a gate
+    return noise_free or not any(_depolarizing(noise, g.kind) for g in circuit.gates)
 
 
 def _channels(noise: NoiseModel, width: int) -> dict[tuple, np.ndarray]:
@@ -172,12 +188,9 @@ def _channels(noise: NoiseModel, width: int) -> dict[tuple, np.ndarray]:
     """
     keys, transfer = _PAULI_TRANSFER[width]
     p = np.array([_depolarizing(noise, kind) for kind, *_ in keys])[:, None, None]
-    return dict(zip(keys, (1.0 - p) * transfer + p * _REPLACEMENT[width][1]))
-
-
-def _tables(noise: NoiseModel) -> dict[int, dict[tuple, np.ndarray]]:
-    """:func:`_channels` of every run width, as :func:`evolve` takes them."""
-    return {width: _channels(noise, width) for width in _PAULI_TRANSFER}
+    channels = (1.0 - p) * transfer + p * _REPLACEMENT[width][1]
+    channels.flags.writeable = False  # a model holds its tables, and every evolution shares them
+    return dict(zip(keys, channels))
 
 
 def _coefficients(circuit: Circuit, tables: dict[int, dict[tuple, np.ndarray]]) -> np.ndarray:
@@ -192,7 +205,7 @@ def final_density(circuit: Circuit, noise: NoiseModel = IDEAL) -> np.ndarray:
     """Density matrix after the gates and their noise channels, with or without noise:
     :func:`belldisc.qmath.density_from_pauli` of the real Pauli coefficients of :func:`_coefficients`.
     """
-    return qmath.density_from_pauli(_coefficients(circuit, _tables(noise)))
+    return qmath.density_from_pauli(_coefficients(circuit, noise._tables))
 
 
 def _readout(r: float) -> np.ndarray:
@@ -209,7 +222,7 @@ def _law(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
         psi = simulate(circuit).reshape((2,) * n)
         probs = (psi * psi.conj()).real.sum(axis=tuple(q for q in range(n) if q not in circuit.measured))
     else:  # the unmeasured qubits traced out: their letter I
-        c = _coefficients(circuit, _tables(noise))[tuple(slice(None) if q in circuit.measured else 0 for q in range(n))]
+        c = _coefficients(circuit, noise._tables)[tuple(slice(None) if q in circuit.measured else 0 for q in range(n))]
         probs = qmath.contract_qubits(c, _OUTCOMES, 1)
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
@@ -291,10 +304,7 @@ def sample_settings(
     if n > MAX_TOMOGRAPHY_QUBITS:
         raise TooManyQubits(f"{n} qubits would need 3^{n} settings")
     shots = _check_shots(shots)
-    tables = _tables(noise)
-    m = np.array([reduce(lambda e, kind: e @ tables[1][kind, 0], gates[::-1], _OUTCOMES)
-                  for gates in _BASIS_CHANGE.values()])
-    law = qmath.contract_qubits(_coefficients(circuit, tables), _readout(noise.readout_flip) @ m, 1)
+    law = qmath.contract_qubits(_coefficients(circuit, noise._tables), noise._setting_law, 1)
     return _draw(law.reshape(3 ** n, 2 ** n), shots, as_int(seed, BadSeed, "seed"), range(3 ** n))
 
 

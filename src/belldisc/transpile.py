@@ -33,7 +33,7 @@ class CouplingMap:
     allowed: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        n = as_int(self.n_physical, BadQubitIndex, "physical qubit count")
+        n = as_int(self.n_physical, BadQubitIndex, "physical qubit count", 1)
         object.__setattr__(self, "n_physical", n)
         pairs = frozenset(
             tuple(as_int(q, BadQubitIndex, f"qubit of pair {pair}", 0, n) for q in pair) for pair in self.allowed
@@ -59,21 +59,19 @@ class CouplingMap:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CouplingMap":
+        """The map of a JSON payload; any fault in it, a bad index or pair too, raises :class:`ParseError`."""
         try:
-            n, pairs = data["n_physical"], [tuple(p) for p in data["allowed"]]
-            for q in (n, *(q for pair in pairs for q in pair)):
-                as_int(q, ParseError, "bad coupling map payload: qubit count or index")
-            return cls(n, frozenset(pairs))
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(data["n_physical"], frozenset(tuple(p) for p in data["allowed"]))
+        except (KeyError, TypeError, ValueError, BadQubitIndex) as exc:
             raise ParseError(f"bad coupling map payload: {exc}") from exc
 
     @classmethod
     def load(cls, path: str | Path) -> "CouplingMap":
+        """The map of a JSON file; a malformed file raises :class:`ParseError` naming the path."""
         try:
-            data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
+            return cls.from_json_dict(json.loads(Path(path).read_text()))
+        except (json.JSONDecodeError, ParseError) as exc:
             raise ParseError(f"coupling map {path}: {exc}") from exc
-        return cls.from_json_dict(data)
 
 
 DEFAULT_MAP = CouplingMap.star()
@@ -108,10 +106,11 @@ def _swap(a: int, b: int, cmap: CouplingMap) -> list[Gate] | None:
     return first if len(first) <= len(second) else second
 
 
-def _route_cnot(control: int, target: int, cmap: CouplingMap) -> list[Gate]:
+def _route_cnot(control: int, target: int, cmap: CouplingMap) -> tuple[list[Gate], int]:
+    """The gates that realize CNOT(control, target) on the map, and the highest qubit they touch."""
     direct = _direct_or_reversed(control, target, cmap)
     if direct is not None:
-        return direct
+        return direct, max(control, target)
     best: list[Gate] | None = None
     for mid in range(cmap.n_physical):
         if mid in (control, target):
@@ -122,10 +121,10 @@ def _route_cnot(control: int, target: int, cmap: CouplingMap) -> list[Gate]:
             continue
         candidate = swap + inner + swap
         if best is None or len(candidate) < len(best):
-            best = candidate
+            best, via = candidate, mid
     if best is None:
         raise UnroutableCircuit(f"no single-intermediate route for CNOT {control} -> {target}")
-    return best
+    return best, max(control, target, via)
 
 
 def transpile(circuit: Circuit, cmap: CouplingMap = DEFAULT_MAP) -> Circuit:
@@ -140,16 +139,15 @@ def transpile(circuit: Circuit, cmap: CouplingMap = DEFAULT_MAP) -> Circuit:
             f"circuit uses {circuit.n_qubits} qubits, map has {cmap.n_physical}"
         )
     out: list[Gate] = []
+    n = circuit.n_qubits  # grows when a route borrows an intermediate, always below n_physical
     for g in circuit.gates:
         if g.kind == "CNOT":
-            out.extend(_route_cnot(g.control, g.target, cmap))
+            route, top = _route_cnot(g.control, g.target, cmap)
+            out += route
+            n = max(n, top + 1)
         else:
             out.append(g)
-    n = circuit.n_qubits
-    for g in out:
-        for q in g.qubits:
-            n = max(n, q + 1)
-    return Circuit(n, tuple(out), circuit.measured)
+    return Circuit._checked(n, tuple(out), circuit.measured)
 
 
 def swap_conjugated_cnot(control: int, target: int, via: int, n_qubits: int) -> Circuit:

@@ -127,7 +127,7 @@ class TestGateAndCircuitValidation:
 
 
 class TestBuildOnce:
-    """Building a circuit of g gates validates a constant number of circuits, not O(g)."""
+    """The builders check only what they add: only the public constructor runs ``__post_init__``."""
 
     @staticmethod
     def builds(make) -> int:
@@ -147,13 +147,13 @@ class TestBuildOnce:
     def test_extend_and_parse(self, gates):
         block = Circuit(3, tuple(Gate("CNOT", i % 3, (i + 1) % 3) for i in range(gates))).measure(0)
         head = Circuit(3).h(1)
-        assert self.builds(lambda: head.extend(block)) == 1
+        assert self.builds(lambda: head.extend(block)) == 0
         assert self.builds(lambda: parse_circuit(format_circuit(block))) == 1
 
     @pytest.mark.parametrize("n", [1, 4, 8])
     def test_with_basis_change(self, n):
         c = Circuit(n).h(0)
-        assert self.builds(lambda: with_basis_change(c, "Y" * n)) == 2
+        assert self.builds(lambda: with_basis_change(c, "Y" * n)) == 1  # the rotations; extend checks no gate
 
     @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
         circuits(n_qubits=n), circuits(n_qubits=n),
@@ -172,6 +172,71 @@ class TestBuildOnce:
                 a.extend(b)
         else:
             assert a.extend(b) == folded
+
+
+def _rebuilt(c: Circuit) -> Circuit:
+    """``c`` through the public constructor, which checks every part."""
+    return Circuit(c.n_qubits, c.gates, c.measured)
+
+
+def _assert_checked(c: Circuit) -> None:
+    assert _rebuilt(c) == c
+    assert type(c.gates) is tuple and type(c.measured) is frozenset
+    assert all(type(q) is int for q in (c.n_qubits, *c.measured))
+
+
+class TestTrustedBuilders:
+    """The builders skip ``__post_init__``, so each must admit only what the public constructor admits."""
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        circuits(n_qubits=n), circuits(n_qubits=n), st.sets(st.integers(0, n - 1)), st.sets(st.integers(0, n - 1)),
+        st.text("XYZ", min_size=n, max_size=n), st.sampled_from(ALL_KINDS))))
+    @settings(deadline=None, max_examples=120)
+    def test_every_builder_output_passes_the_public_checks(self, args):
+        a, b, a_measured, b_measured, setting, kind = args
+        n = a.n_qubits
+        built = [a.measure(*a_measured), b.measure(*map(np.int64, b_measured)), a.extend(b),
+                 with_basis_change(a, setting)]
+        built += [a.append(g) for g in b.gates]
+        measured = a.measure(*a_measured)
+        try:
+            built.append(measured.extend(b.measure(*b_measured)))
+        except HasMeasurementsBeforeEnd:
+            pass
+        if n >= 2:
+            built += [bell_prep(kind, (0, 1), n), reverse_epr((0, 1), n)]
+        if n >= 3:
+            built += [parity_check((0, 1), 2, n), phase_check((1, 0), 2, n),
+                      discrimination_circuit(kind, "phase", (0, 2), 1, n)]
+        if n >= 4:
+            built.append(combined_check((3, 1), 0, 2, n))
+        for c in built:
+            _assert_checked(c)
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: Circuit(2).h(2), BadQubitIndex, "gate 'H 2' outside register of 2"),
+        (lambda: Circuit(3).cnot(0, 3), BadQubitIndex, "gate 'CNOT 0 3' outside register of 3"),
+        (lambda: Circuit(3).append(Gate("CNOT", 1, 5)), BadQubitIndex, "gate 'CNOT 5 1' outside register of 3"),
+        (lambda: Circuit(3).cnot(1, 1), BadQubitIndex, "CNOT control and target must differ"),
+        (lambda: Circuit(2).measure(True), BadQubitIndex, "measured qubit must be an integer from 0 to 1, got True"),
+        (lambda: Circuit(2).measure(np.bool_(False)), BadQubitIndex, "measured qubit must be an integer"),
+        (lambda: Circuit(2).measure(1.0), BadQubitIndex, "measured qubit must be an integer from 0 to 1, got 1.0"),
+        (lambda: Circuit(2).measure("1"), BadQubitIndex, "measured qubit must be an integer"),
+        (lambda: Circuit(2).measure(2), BadQubitIndex, "measured qubit must be an integer from 0 to 1, got 2"),
+        (lambda: Circuit(2).measure(-1), BadQubitIndex, "measured qubit must be an integer from 0 to 1, got -1"),
+        (lambda: Circuit(2).measure(0).measure(1, 0.5), BadQubitIndex, "got 0.5"),
+        (lambda: Circuit(2).extend(Circuit(3)), DimensionMismatch, "cannot extend a 2-qubit circuit with a 3-qubit one"),
+        (lambda: Circuit(2).h(0).measure(0).x(0), HasMeasurementsBeforeEnd, r"qubit\(s\) \[0\] already measured"),
+        (lambda: Circuit(2).measure(1).extend(Circuit(2).cnot(0, 1)), HasMeasurementsBeforeEnd, r"\[1\] already"),
+        (lambda: Circuit(2).measure(1).cnot(1, 5), HasMeasurementsBeforeEnd, "already measured"),
+    ])
+    def test_builders_keep_their_rejections(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
+
+    def test_measure_stores_numpy_integers_as_int(self):
+        c = Circuit(3).h(0).measure(np.int64(2), np.uint8(0))
+        assert c.measured == frozenset({0, 2}) and all(type(q) is int for q in c.measured)
 
 
 class TestSimulation:

@@ -306,6 +306,20 @@ class TestTranspile:
         assert "gates: 1 -> 5" in out  # reversed direction: H H CNOT H H
         assert "equivalent: yes" in out
 
+    @pytest.mark.parametrize("payload", [
+        {"n_physical": 3, "allowed": [[0, 7]]},
+        {"n_physical": 3, "allowed": [[1, 1]]},
+        {"n_physical": 0, "allowed": []},
+    ])
+    def test_malformed_map_names_the_file(self, payload, tmp_path, capsys):
+        map_file = tmp_path / "bad_map.json"
+        map_file.write_text(json.dumps(payload))
+        circuit_file = tmp_path / "c.txt"
+        circuit_file.write_text("CNOT 1 0\n")
+        rc = main(["transpile", "--circuit", str(circuit_file), "--map", str(map_file), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: coupling map {map_file}: bad coupling map payload: ")
+
     def test_unroutable_exits_one(self, tmp_path, capsys):
         circuit_file = tmp_path / "big.txt"
         circuit_file.write_text("CNOT 9 2\n")

@@ -109,7 +109,9 @@ OUT_OF_RANGE = {
     "Gate control": [-1],
     "Circuit register size": [0],
     "Circuit measured qubit": [-1, 2],
+    "CouplingMap size": [0, -3],
     "CouplingMap pair": [-1, 2],
+    "coupling map JSON": [-1, 2],
     "histogram n_bits": [0],
     "histogram count": [-1],
     "histogram shots": [0, 2**63],

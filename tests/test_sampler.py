@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import gc
 import json
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -434,6 +437,95 @@ class TestSampleSettings:
         assert {n: sorted(widths) for n, widths in calls.items()} == {3: [1, 2], 4: [1, 2]}
 
 
+class TestTablesPerModel:
+    """A noise model builds its channel tables and setting law once, holds them, and frees them with itself."""
+
+    @staticmethod
+    def channel_calls(run) -> list[int]:
+        channels, widths = belldisc.sampler._channels, []
+
+        def counting(noise, width):
+            widths.append(width)
+            return channels(noise, width)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(belldisc.sampler, "_channels", counting)
+            run()
+        return sorted(widths)
+
+    def test_repeated_calls_build_each_width_once(self):
+        noise = NoiseModel(0.02, 0.05, 0.02)
+        c3 = bell_prep(BellKind.PHI_MINUS).extend(parity_check())
+        c4 = bell_prep(BellKind.PSI_PLUS, n_qubits=4).extend(combined_check())
+
+        def run():
+            for _ in range(3):
+                for c in (c3, c4):
+                    exact_distribution(c.measure(0, 2), noise)
+                    final_density(c, noise)
+                    sample_settings(c, 64, noise, seed=1)
+
+        assert self.channel_calls(run) == [1, 2]
+        assert self.channel_calls(run) == []  # held from the first run
+        equal = NoiseModel(0.02, 0.05, 0.02)
+        assert self.channel_calls(lambda: final_density(c3, equal)) == [1, 2]  # held per instance, not per value
+
+    @given(noise_models)
+    @settings(deadline=None, max_examples=60)
+    def test_held_tables_equal_a_fresh_build(self, noise):
+        sampler = belldisc.sampler
+        final_density(Circuit(2).h(0).cnot(0, 1), noise)
+        sample_settings(Circuit(1).h(0), 16, noise)
+        fresh = {width: sampler._channels(noise, width) for width in sampler._PAULI_TRANSFER}
+        assert noise._tables.keys() == fresh.keys()
+        for width, table in fresh.items():
+            assert noise._tables[width].keys() == table.keys()
+            assert all(np.array_equal(noise._tables[width][key], m) for key, m in table.items())
+        # the setting law as sample_settings formed it on every call: F @ M
+        m = []
+        for gates in sampler._BASIS_CHANGE.values():
+            row = sampler._OUTCOMES
+            for kind in reversed(gates):
+                row = row @ fresh[1][kind, 0]
+            m.append(row)
+        assert np.array_equal(noise._setting_law, sampler._readout(noise.readout_flip) @ np.array(m))
+
+    def test_held_tables_are_read_only(self):
+        noise = NoiseModel(0.02, 0.05, 0.02)
+        final_density(Circuit(1).h(0), noise)
+        sample_settings(Circuit(1).h(0), 16, noise)
+        with pytest.raises(ValueError, match="read-only"):
+            noise._tables[1]["H", 0][0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            noise._setting_law[0, 0, 0] = 2.0
+
+    def test_tables_leave_the_model_value_alone(self):
+        noise = NoiseModel(0.1, 0.2, 0.3)
+        sample_settings(Circuit(1).h(0), 16, noise)
+        assert noise == NoiseModel(0.1, 0.2, 0.3) and hash(noise) == hash(NoiseModel(0.1, 0.2, 0.3))
+        assert repr(noise) == "NoiseModel(per_gate_depolarizing=0.1, per_cnot_depolarizing=0.2, readout_flip=0.3)"
+
+    def test_tables_are_freed_with_the_model(self):
+        noise = NoiseModel(0.02, 0.05, 0.02)
+        sample_settings(Circuit(2).h(0), 16, noise)
+        held = weakref.ref(noise._tables[2]["CNOT", 0, 1].base)
+        alive = weakref.ref(noise)
+        del noise
+        gc.collect()
+        assert alive() is None and held() is None
+
+    @given(circuits(), noise_models)
+    @settings(deadline=None, max_examples=150)
+    def test_pure_is_the_gate_scan(self, c, noise):
+        sampler = belldisc.sampler
+        assert sampler._pure(c, noise) == (not any(sampler._depolarizing(noise, g.kind) for g in c.gates))
+
+    def test_noise_free_pure_reads_no_gate(self):
+        no_gates = SimpleNamespace()  # reading its gates raises AttributeError
+        for noise in (IDEAL, NoiseModel(readout_flip=0.3)):
+            assert belldisc.sampler._pure(no_gates, noise)
+
+
 class TestRelabelling:
     """Renaming the qubits permutes the axes of the density and the bits of the outcomes."""
 
@@ -489,8 +581,8 @@ class TestDepolarizing:
         and exactly 0 elsewhere; each channel only scales a non-identity coefficient by 1 - p.
         """
         sampler = belldisc.sampler
-        ideal = sampler._coefficients(c, sampler._tables(IDEAL))
-        noisy = sampler._coefficients(c, sampler._tables(NoiseModel(per_gate, per_cnot)))
+        ideal = sampler._coefficients(c, IDEAL._tables)
+        noisy = sampler._coefficients(c, NoiseModel(per_gate, per_cnot)._tables)
         support = ideal != 0.0
         assert np.array_equal(noisy != 0.0, support)
         assert support.sum() == 2 ** c.n_qubits

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,9 @@ class TestCouplingMap:
             CouplingMap(2, frozenset({(0, 0)}))
         with pytest.raises(BadQubitIndex):
             CouplingMap(2, frozenset({(0, 5)}))
+        for n_physical in (0, -3):
+            with pytest.raises(BadQubitIndex, match="physical qubit count must be an integer of at least 1"):
+                CouplingMap(n_physical, frozenset())
 
     @pytest.mark.parametrize("n_physical, allowed", [
         (5, {(0.5, 2)}),
@@ -98,6 +102,60 @@ class TestCouplingMap:
         path.write_text(json.dumps(payload))
         with pytest.raises(ParseError):
             CouplingMap.load(path)
+
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"n_physical": 3, "allowed": [[0, 7]]}, "qubit of pair (0, 7) must be an integer from 0 to 2, got 7"),
+        ({"n_physical": 3, "allowed": [[1, 1]]}, "self-loop (1, 1) in coupling map"),
+        ({"n_physical": 0, "allowed": []}, "physical qubit count must be an integer of at least 1, got 0"),
+        ({"n_physical": -3, "allowed": []}, "physical qubit count must be an integer of at least 1, got -3"),
+    ])
+    def test_malformed_file_raises_parse_error_naming_the_path(self, payload, message, tmp_path):
+        with pytest.raises(ParseError, match=re.escape(f"bad coupling map payload: {message}")):
+            CouplingMap.from_json_dict(payload)
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=re.escape(f"coupling map {path}: bad coupling map payload: {message}")):
+            CouplingMap.load(path)
+
+
+@st.composite
+def coupling_maps(draw) -> CouplingMap:
+    n = draw(st.integers(2, 6))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])))
+    return CouplingMap(n, frozenset(pairs))
+
+
+class TestRoutedCircuitIsChecked:
+    """``transpile`` builds its result without ``__post_init__``: it must pass the public checks."""
+
+    @given(coupling_maps(), st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_every_cnot_pair_on_random_maps(self, cmap, data):
+        for control in range(cmap.n_physical):
+            for target in range(cmap.n_physical):
+                if control == target:
+                    continue
+                width = data.draw(st.integers(max(control, target) + 1, cmap.n_physical))
+                measured = data.draw(st.sets(st.integers(0, width - 1)))
+                circuit = Circuit(width).h(target).cnot(control, target).measure(*measured)
+                try:
+                    routed = transpile(circuit, cmap)
+                except UnroutableCircuit as exc:
+                    assert str(exc) == f"no single-intermediate route for CNOT {control} -> {target}"
+                    continue
+                assert Circuit(routed.n_qubits, routed.gates, routed.measured) == routed
+                assert type(routed.gates) is tuple and routed.measured == circuit.measured
+                # the register the old rescan of every emitted gate gave
+                assert routed.n_qubits == max([width, *(q + 1 for g in routed.gates for q in g.qubits)])
+                assert_respects_map(routed, cmap)
+
+    @given(circuits(max_qubits=5, max_gates=10))
+    @settings(deadline=None, max_examples=60)
+    def test_random_circuits_on_the_star(self, circuit):
+        routed = transpile(circuit)
+        assert Circuit(routed.n_qubits, routed.gates, routed.measured) == routed
+        assert routed.n_qubits == max([circuit.n_qubits, *(q + 1 for g in routed.gates for q in g.qubits)])
 
 
 class TestRewriteRules:
