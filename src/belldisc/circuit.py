@@ -191,7 +191,7 @@ def apply_matrix(t: np.ndarray, u: np.ndarray, axes) -> np.ndarray:
     return out.transpose(sorted(range(t.ndim), key=order.__getitem__))
 
 
-_MAX_RUN_SIDE = 16  # a run's matrix is at most 16x16: four qubits of a state, two of Pauli coefficients
+_MAX_RUN_SIDE = 16  # a run's matrix is at most 16x16: four qubits
 
 
 def lift(matrices: dict[str, np.ndarray]) -> dict[int, dict[tuple, np.ndarray]]:
@@ -199,15 +199,14 @@ def lift(matrices: dict[str, np.ndarray]) -> dict[int, dict[tuple, np.ndarray]]:
 
     Keyed by run width w, then by (kind, run position of each of the gate's
     qubits: a CNOT's control first); the run's first qubit is the most
-    significant.  A qubit takes d = 2 values, or 4 for a Pauli transfer matrix
-    (letters I, X, Y, Z), so widths run 1-4 or 1-2.  Each entry is the gate
-    applied to a float64 identity, so it keeps its matrix's dtype.
+    significant, and widths run 1-4.  Each entry is the gate applied to a
+    float64 identity, so it keeps its matrix's dtype.
     """
-    d, tables, width = len(matrices["H"]), {}, 1
-    while d ** width <= _MAX_RUN_SIDE:
-        eye = np.eye(d ** width).reshape((d,) * 2 * width)  # the gate acts on its row axes
+    tables, width = {}, 1
+    while 2 ** width <= _MAX_RUN_SIDE:
+        eye = np.eye(2 ** width).reshape((2,) * 2 * width)  # the gate acts on its row axes
         tables[width] = {
-            (kind, *positions): apply_matrix(eye, m, positions).reshape(d ** width, -1)
+            (kind, *positions): apply_matrix(eye, m, positions).reshape(2 ** width, -1)
             for kind, m in matrices.items()
             for positions in itertools.permutations(range(width), _OPERANDS[kind][0])
         }
@@ -221,9 +220,9 @@ _UNITARIES = lift(GATE_MATRICES)
 def evolve(t: np.ndarray, gates, lifted: dict[int, dict[tuple, np.ndarray]]) -> np.ndarray:
     """Apply ``gates`` to the leading axes of ``t``, axis q being qubit q; further axes are carried along.
 
-    The gates are split into maximal runs on at most ``max(lifted)`` qubits (four
-    for a state, two for Pauli coefficients), and each run's product of ``lifted``
-    matrices is one :func:`apply_matrix` call; numpy's promotion keeps them real until a run holds a complex matrix.
+    The gates are split into maximal runs on at most ``max(lifted)`` qubits (four), and each
+    run's product of ``lifted`` matrices is one :func:`apply_matrix` call; numpy's promotion
+    keeps them real until a run holds a complex matrix.  Only :func:`simulate` and :func:`unitary_of` call it.
     """
     cap, runs, where = max(lifted), [], {}  # where: the current run's qubits, each with its position
     for g in gates:

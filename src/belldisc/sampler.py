@@ -10,26 +10,26 @@ strength ``p`` is the full-replacement probability,
 equivalent to each of the 4^k - 1 non-identity Pauli errors occurring with
 probability p / 4^k, so p = 1 leaves the touched qubits maximally mixed.
 
-A noisy rho is evolved as its real Pauli coefficients c_L = tr(P_L rho), a
-(4,)*n tensor with one axis per qubit (letters I, X, Y, Z), by
-:func:`belldisc.circuit.evolve`: each gate and its channel is one real Pauli
-transfer matrix, and each maximal run of them on at most two qubits is one
-matrix of at most 16x16, as a state vector's runs of four qubits are, applied
-to its qubits' axes.  A :class:`NoiseModel` builds these matrices, and the setting
-law below, once, on first use, and holds them.  Here rho = sum_L c_L P_L / 2^n is formed only by
-``final_density``, with or without noise, through :func:`belldisc.qmath.density_from_pauli`,
-which ``tomography.reconstruct`` also calls; a Z outcome b of a qubit has probability
-(c_I +- c_Z) / 2 on its axis.  The law of a circuit whose gates carry no depolarizing
-noise comes from a 2^n state vector instead, as |psi|^2.  Seeds and streams are integers
+Every gate kind is a Clifford and every channel a Pauli channel, so a Pauli
+observable carried back through a gate and its channel, U^+ D(P) U, is one
+signed Pauli string, scaled by 1 - p unless P is the identity on the gate's
+qubits.  :func:`_back` carries many observables at once, as bits of Python
+integers; on |0..0> one's expectation is its signed weight when its image has
+no X or Y letter, else 0.  The law of the measured bits asks for the 2^m
+Z-strings on them, a Z outcome b having probability (c_I +- c_Z) / 2, so its
+cost does not grow with the register.  ``final_density`` asks for all 4^n
+strings, the Pauli coefficients c_L = tr(P_L rho) as a real (4,)*n tensor
+(letters I, X, Y, Z), and sums rho = sum_L c_L P_L / 2^n in
+:func:`belldisc.qmath.density_from_pauli`, as ``tomography.reconstruct`` does.  Seeds and streams are integers
 taken modulo 2^64.  ``_readout`` is one bit's 2x2 readout matrix F, which
 :func:`belldisc.qmath.contract_qubits` applies to every measured bit's axis: ``exact_distribution`` is
 the post-readout law, and ``sample`` draws it in one multinomial draw keyed by
 ``(seed, stream)``, its CDF rounded to multiples of 2^-32 so that laws differing
 only by round-off draw the same counts.  ``sample_settings`` draws all Pauli
-settings of a tomography from one evolution, count for count as ``sample``: each
+settings of a tomography from one set of coefficients, count for count as ``sample``: each
 qubit's axis of the Pauli coefficients is one matmul with the setting law of that
-qubit, basis change and readout flip together, and one Philox bit generator is
-re-keyed per setting.
+qubit, basis change and readout flip together, which a :class:`NoiseModel` builds
+once, on first use, and holds; one Philox bit generator is re-keyed per setting.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from typing import Mapping
 import numpy as np
 
 from . import qmath
-from .circuit import GATE_MATRICES, Circuit, Gate, evolve, lift, simulate
+from .circuit import Circuit, Gate
 from .errors import (
     BadArgument,
     BadSeed,
@@ -59,6 +59,7 @@ from .errors import (
 _MASK64 = (1 << 64) - 1
 _CDF_GRID = 2.0 ** 32  # absorbs round-off, and moves no CDF entry by more than 2^-33
 MAX_TOMOGRAPHY_QUBITS = 4  # sample_settings holds a law of 6^n entries
+_MEASURE = np.array([[1.0, 1.0], [1.0, -1.0]]) / 2  # Z outcome b of one qubit per unit of <I> and <Z>: (c_I +- c_Z) / 2
 
 
 @dataclass(frozen=True)
@@ -78,16 +79,16 @@ class NoiseModel:
         return self == IDEAL
 
     @cached_property
-    def _tables(self) -> dict[int, dict[tuple, np.ndarray]]:
-        """:func:`_channels` of every run width, as :func:`evolve` takes them; built on first use, held by the model."""
-        return {width: _channels(self, width) for width in _PAULI_TRANSFER}
-
-    @cached_property
     def _setting_law(self) -> np.ndarray:
-        """F @ M of :func:`sample_settings`, the (3, 2, 4) law of one qubit's settings; built on first use."""
-        rotate = self._tables[1]
-        m = [reduce(lambda e, kind: e @ rotate[kind, 0], gates[::-1], _OUTCOMES) for gates in _BASIS_CHANGE.values()]
-        law = _readout(self.readout_flip) @ np.array(m)
+        """F @ M of :func:`sample_settings`, the (3, 2, 4) law of one qubit's settings from I and Z carried back
+        through each basis's noisy rotations; built on first use."""
+        m = np.zeros((len(_BASIS_CHANGE), 2, 4))
+        for s, kinds in enumerate(_BASIS_CHANGE.values()):
+            (x,), (z,), masks, factors = _back([Gate(kind, 0) for kind in kinds], [0], [0b10], self)  # bit 0 I, bit 1 Z
+            weight = _weights(2, masks, factors)
+            for k in range(2):
+                m[s, :, (x >> k & 1 ^ z >> k & 1) + 2 * (z >> k & 1)] = _MEASURE[:, k] * weight[k]
+        law = _readout(self.readout_flip) @ m
         law.flags.writeable = False
         return law
 
@@ -147,65 +148,79 @@ def _check_shots(shots) -> int:
     return as_int(shots, ZeroShots, "shots", 1, 2 ** 63)
 
 
-def _pauli_transfer(u: np.ndarray) -> np.ndarray:
-    """R[i, j] = tr(P_i U P_j U^+) / 2^k over the k-qubit Pauli strings: column j is U P_j U^+ / 2^k in the Pauli basis.
-
-    Every gate kind is a Clifford, so R is a signed permutation: rounding takes off only the
-    round-off of H's 1/sqrt(2) entries, and the identity row stays e_0, so the trace stays 1.
-    """
-    d = len(u)
-    basis = np.eye(d * d).reshape((d * d,) + (4,) * (d.bit_length() - 1))  # e_j, each a (4,)*k tensor
-    columns = [qmath.pauli_from_density(u @ qmath.density_from_pauli(e) @ u.conj().T) for e in basis]
-    return np.rint(np.array(columns).real.reshape(d * d, d * d).T)
-
-
-def _stacked(matrices: dict[str, np.ndarray]) -> dict[int, tuple[tuple, np.ndarray]]:
-    """:func:`lift` of ``matrices``: its keys and its stacked matrices, per run width."""
-    return {width: (tuple(table), np.stack(tuple(table.values()))) for width, table in lift(matrices).items()}
-
-
-_PAULI_TRANSFER = _stacked({kind: _pauli_transfer(u) for kind, u in GATE_MATRICES.items()})
-# |I><I| on the touched qubits: keeps the trace and forgets the rest
-_REPLACEMENT = _stacked({kind: np.diag(np.eye(len(u) ** 2)[0]) for kind, u in GATE_MATRICES.items()})
-_OUTCOMES = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0]]) / 2  # Z outcome b: (c_I +- c_Z) / 2
-
-
 def _depolarizing(noise: NoiseModel, kind: str) -> float:
     return noise.per_cnot_depolarizing if kind == "CNOT" else noise.per_gate_depolarizing
 
 
-def _pure(circuit: Circuit, noise: NoiseModel) -> bool:
-    """Whether no gate of the circuit carries depolarizing noise, so its state stays a vector."""
-    noise_free = not (noise.per_gate_depolarizing or noise.per_cnot_depolarizing)  # decided without reading a gate
-    return noise_free or not any(_depolarizing(noise, g.kind) for g in circuit.gates)
+def _repeated(block: int, period: int, count: int) -> int:
+    """The ``period``-bit mask ``block`` repeated over ``count`` bits."""
+    return block * (((1 << count) - 1) // ((1 << period) - 1))
 
 
-def _channels(noise: NoiseModel, width: int) -> dict[tuple, np.ndarray]:
-    """Each gate kind followed by its depolarizing channel, in a run of ``width`` qubits as :func:`lift` keys it.
+def _back(gates, x: list[int], z: list[int], noise: NoiseModel) -> tuple[list[int], list[int], list[int], list[float]]:
+    """Carry Pauli observables back through the noisy ``gates``: their images' x and z masks, and their weights' factors.
 
-    Full replacement after a gate forgets the gate, so the pair's Pauli transfer
-    matrix is (1 - p) R_U + p |I><I|.
+    Observable k is bit k of x[q] and z[q], its letter on qubit q (x ^ z) + 2z in I, X, Y, Z order.  In reverse,
+    each gate maps P to U^+ P U by the stabilizer-tableau rules of Aaronson and Gottesman, and its channel
+    scales a P that is not the identity on the gate's qubits, before or after the gate alike, by 1 - p.  Weight
+    k is the product of the factors whose mask has bit k set: -1 for the sign mask, then one per channel.
     """
-    keys, transfer = _PAULI_TRANSFER[width]
-    p = np.array([_depolarizing(noise, kind) for kind, *_ in keys])[:, None, None]
-    channels = (1.0 - p) * transfer + p * _REPLACEMENT[width][1]
-    channels.flags.writeable = False  # a model holds its tables, and every evolution shares them
-    return dict(zip(keys, channels))
+    x, z, sign, masks, factors = list(x), list(z), 0, [], []
+    for g in reversed(gates):
+        kind, t, c = g.kind, g.target, g.control
+        p = _depolarizing(noise, kind)
+        if p:
+            masks.append(x[t] | z[t] if c is None else x[t] | z[t] | x[c] | z[c])
+            factors.append(1.0 - p)
+        if kind == "H":
+            sign ^= x[t] & z[t]
+            x[t], z[t] = z[t], x[t]
+        elif kind == "X":
+            sign ^= z[t]
+        elif kind != "CNOT":  # S^+ P S is SDG's forward rule, and SDG^+ P SDG is S's
+            sign ^= x[t] & (z[t] if kind == "SDG" else ~z[t])
+            z[t] ^= x[t]
+        else:
+            sign ^= x[c] & z[t] & ~(x[t] ^ z[c])
+            x[t] ^= x[c]
+            z[c] ^= z[t]
+    return x, z, [sign] + masks, [-1.0] + factors
 
 
-def _coefficients(circuit: Circuit, tables: dict[int, dict[tuple, np.ndarray]]) -> np.ndarray:
-    """The Pauli coefficients c_L = tr(P_L rho) after the noisy gates: a real (4,)*n tensor, axis q the letter of qubit q."""
-    n = circuit.n_qubits
-    c = np.zeros((4,) * n)
-    c[(slice(None, None, 3),) * n] = 1.0  # |0..0><0..0|: 1 for every L in {I, Z}^n
-    return evolve(c, circuit.gates, tables)
+def _weights(count: int, masks: list[int], factors: list[float]) -> np.ndarray:
+    """Observable k's product of the ``factors`` whose mask has bit k set, multiplied in order."""
+    size = (count + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks), np.uint8).reshape(len(masks), size)
+    bits = np.unpackbits(raw, axis=1, count=count, bitorder="little").view(bool)
+    return np.where(bits, np.array(factors)[:, None], 1.0).prod(axis=0)
+
+
+def _on_zero(gates, x: list[int], z: list[int], count: int, noise: NoiseModel) -> np.ndarray:
+    """<P_k> after the noisy ``gates`` from |0..0>: P_k's weight if its image has no X or Y letter, else 0."""
+    x, _, masks, factors = _back(gates, x, z, noise)
+    zero = reduce(int.__or__, x, 0)
+    masks[0] &= ~zero  # a zero takes no sign, so it is +0.0
+    return _weights(count, [zero] + masks, [0.0] + factors)
+
+
+def _coefficients(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
+    """The Pauli coefficients c_L = tr(P_L rho) after the noisy gates: a real (4,)*n tensor, axis q the letter of qubit q.
+
+    Observable k is the string at flat index k, so qubit q's letter holds for runs of s = 4^(n-1-q)
+    observables: X and Y (letters 1 and 2) set its x bit, Y and Z (2 and 3) its z bit.
+    """
+    n, count = circuit.n_qubits, 4 ** circuit.n_qubits
+    strides = [4 ** (n - 1 - q) for q in range(n)]
+    x = [_repeated(((1 << 2 * s) - 1) << s, 4 * s, count) for s in strides]
+    z = [_repeated(((1 << 2 * s) - 1) << 2 * s, 4 * s, count) for s in strides]
+    return _on_zero(circuit.gates, x, z, count, noise).reshape((4,) * n)
 
 
 def final_density(circuit: Circuit, noise: NoiseModel = IDEAL) -> np.ndarray:
     """Density matrix after the gates and their noise channels, with or without noise:
     :func:`belldisc.qmath.density_from_pauli` of the real Pauli coefficients of :func:`_coefficients`.
     """
-    return qmath.density_from_pauli(_coefficients(circuit, noise._tables))
+    return qmath.density_from_pauli(_coefficients(circuit, noise))
 
 
 def _readout(r: float) -> np.ndarray:
@@ -214,19 +229,17 @@ def _readout(r: float) -> np.ndarray:
 
 
 def _law(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
-    """Post-readout probabilities of the measured bits."""
+    """Post-readout probabilities of the measured bits, from the 2^m Z-strings on them (Z on the i-th where k has bit m-1-i)."""
     if not circuit.measured:
         raise NoMeasurements("circuit has no measured qubits")
-    n = circuit.n_qubits
-    if _pure(circuit, noise):
-        psi = simulate(circuit).reshape((2,) * n)
-        probs = (psi * psi.conj()).real.sum(axis=tuple(q for q in range(n) if q not in circuit.measured))
-    else:  # the unmeasured qubits traced out: their letter I
-        c = _coefficients(circuit, noise._tables)[tuple(slice(None) if q in circuit.measured else 0 for q in range(n))]
-        probs = qmath.contract_qubits(c, _OUTCOMES, 1)
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    return qmath.contract_qubits(probs, _readout(noise.readout_flip), 1).reshape(-1)
+    m, z = len(circuit.measured), [0] * circuit.n_qubits
+    count = 2 ** m
+    for i, q in enumerate(sorted(circuit.measured)):
+        s = 2 ** (m - 1 - i)
+        z[q] = _repeated(((1 << s) - 1) << s, 2 * s, count)
+    e = _on_zero(circuit.gates, [0] * circuit.n_qubits, z, count, noise).reshape((2,) * m)
+    probs = np.clip(qmath.contract_qubits(e, _readout(noise.readout_flip) @ _MEASURE, 1).reshape(-1), 0.0, None)
+    return probs / probs.sum()
 
 
 def exact_distribution(circuit: Circuit, noise: NoiseModel = IDEAL) -> dict[str, float]:
@@ -289,14 +302,14 @@ _BASIS_CHANGE = {"X": ("H",), "Y": ("SDG", "H"), "Z": ()}
 def sample_settings(
     circuit: Circuit, shots: int, noise: NoiseModel = IDEAL, seed: int = 0
 ) -> np.ndarray:
-    """Counts (3^n, 2^n) of all Pauli settings in ``tomography.plan`` order, from one evolution.
+    """Counts (3^n, 2^n) of all Pauli settings in ``tomography.plan`` order, from one set of Pauli coefficients.
 
     Row i equals ``sample(with_basis_change(circuit, setting_i), ..., stream=i)``: the noisy
     rotation and readout of each qubit act on it alone, so each qubit's axis of the Pauli
     coefficients is one matmul with M[s, b, l], the probability of outcome b in basis s
     per unit of coefficient l, read out as F @ M with F of ``_readout``.  M[s, b] is the
     Z-outcome row (c_I +- c_Z) / 2 multiplied through basis s's rotations, each with its
-    noise, as the one-qubit :func:`_channels` that ``evolve`` applies.  The circuit must be unmeasured.
+    noise, as :func:`_back` carries them.  The circuit must be unmeasured.
     """
     if circuit.measured:
         raise HasMeasurements("tomography appends its own measurements")
@@ -304,7 +317,7 @@ def sample_settings(
     if n > MAX_TOMOGRAPHY_QUBITS:
         raise TooManyQubits(f"{n} qubits would need 3^{n} settings")
     shots = _check_shots(shots)
-    law = qmath.contract_qubits(_coefficients(circuit, noise._tables), noise._setting_law, 1)
+    law = qmath.contract_qubits(_coefficients(circuit, noise), noise._setting_law, 1)
     return _draw(law.reshape(3 ** n, 2 ** n), shots, as_int(seed, BadSeed, "seed"), range(3 ** n))
 
 

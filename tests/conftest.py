@@ -66,6 +66,6 @@ def circuits(draw, max_qubits: int = 5, max_gates: int = 12, n_qubits: int | Non
 
 
 probabilities = st.floats(0.0, 1.0)
-# noise-free gates about half the time, so the pure-state path is drawn too
+# noise-free gates about half the time, so laws with no channel at all are drawn too
 gate_strengths = st.one_of(st.just(0.0), probabilities)
 noise_models = st.builds(NoiseModel, gate_strengths, gate_strengths, probabilities)

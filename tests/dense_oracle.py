@@ -6,8 +6,9 @@ once per setting and estimates each coefficient with a loop over outcome
 strings, and fidelity diagonalizes its first argument every time.  This is
 slow and obviously correct; the package's tensor kernels, batched tomography
 and pure-state fidelity must agree with it.  ``superoperator`` is a gate and
-its channel acting on rho's entries, the complex form whose real Pauli-basis
-image the package's channel tables must be, and ``partial_trace`` is the index
+its channel acting on rho's entries: in the Pauli basis, the superoperator of
+U^+ with the same channel holds, column by column, the image of each Pauli
+string that the package's backward kernel must give, and ``partial_trace`` is the index
 contraction that the package's Pauli-coefficient slice replaced.  ``sample_per_shot`` draws the
 same law shot by shot, so the law tests can check both draws.  Nothing under
 ``src/`` imports this module.

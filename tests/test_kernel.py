@@ -4,7 +4,8 @@
 Pauli twirl and runs tomography one setting at a time; the package must agree
 with it to 1e-12 where only the order of floating-point operations differs,
 and exactly where the arithmetic is integer.  A state evolves in float64 until
-its first S or SDG and a noisy state as real Pauli coefficients, so every path is drawn.
+its first S or SDG, and the laws, densities and setting laws come from Pauli
+observables carried back through the noisy gates, with or without noise.
 """
 from __future__ import annotations
 
@@ -61,7 +62,7 @@ from conftest import REAL_KINDS, circuits, noise_models, probabilities, random_d
 
 TOL = 1e-12
 ANY_CIRCUIT = st.one_of(circuits(), circuits(kinds=REAL_KINDS))
-# every gate kind carries some depolarizing noise, so the Pauli-coefficient path is taken
+# every gate kind carries some depolarizing noise, so every gate adds a channel to the weights
 depolarizing = st.floats(1e-3, 1.0)
 noisy_models = st.builds(NoiseModel, depolarizing, depolarizing, probabilities)
 
@@ -176,7 +177,7 @@ class TestKernelCalls:
     @pytest.mark.parametrize("kind", list(BellKind))
     def test_noisy_routed_density(self, kind):
         c = bell_prep(kind, system=(2, 1), n_qubits=5).extend(transpile(device_combined_block()))
-        assert self.calls(lambda: final_density(c, NOISE)) <= 9 < c.gate_count
+        assert self.calls(lambda: final_density(c, NOISE)) == 0 < c.gate_count
 
     @given(
         circuits(n_qubits=2, max_gates=20),
@@ -189,7 +190,9 @@ class TestKernelCalls:
         expected = min(1, c.gate_count)
         assert self.calls(lambda: simulate(c)) == expected
         assert self.calls(lambda: unitary_of(c)) == expected
-        assert self.calls(lambda: final_density(c, noise)) == expected
+        # the Pauli coefficients are carried back through the gates, with no dense matrix
+        assert self.calls(lambda: final_density(c, noise)) == 0
+        assert belldisc.sampler._coefficients(c, noise).dtype == np.float64
 
     @given(
         circuits(n_qubits=4, max_gates=30),
@@ -230,12 +233,13 @@ class TestKernelCalls:
     @given(circuits(max_qubits=4), noisy_models, st.data())
     @settings(deadline=None, max_examples=60)
     def test_noisy_states_evolve_in_float64(self, c, noise, data):
-        expected = {np.dtype(np.float64)} if c.gates else set()
         measured = c.measure(*data.draw(st.sets(st.integers(0, c.n_qubits - 1), min_size=1)))
-        assert self.dtypes(lambda: final_density(c, noise)) == expected
-        assert self.dtypes(lambda: exact_distribution(measured, noise)) == expected
-        assert self.dtypes(lambda: sample_settings(c, 64, noise)) == expected
-        assert self.dtypes(lambda: sample_settings(c, 64, IDEAL)) == expected
+        for run in (lambda: final_density(c, noise), lambda: exact_distribution(measured, noise),
+                    lambda: sample_settings(c, 64, noise), lambda: sample_settings(c, 64, IDEAL)):
+            assert self.calls(run) == 0
+        sampler = belldisc.sampler
+        for out in (sampler._coefficients(c, noise), sampler._law(measured, noise), noise._setting_law):
+            assert out.dtype == np.float64
 
     @classmethod
     def results(cls, run) -> list[np.dtype]:
@@ -307,45 +311,69 @@ class TestOneTable:
         assert np.array_equal(unitary_of(c), u)
 
 
+def _images(gates, n: int, noise: NoiseModel) -> np.ndarray:
+    """The kernel's Heisenberg image of every n-qubit Pauli string: column j is E^+(P_j) in the Pauli basis, flat index j."""
+    count = 4 ** n
+    letters = np.array(list(itertools.product(range(4), repeat=n))).reshape(count, n)  # qubit 0 most significant
+    x = [sum(1 << j for j in range(count) if letters[j, q] in (1, 2)) for q in range(n)]
+    z = [sum(1 << j for j in range(count) if letters[j, q] in (2, 3)) for q in range(n)]
+    x, z, masks, factors = belldisc.sampler._back(gates, x, z, noise)
+    weights = belldisc.sampler._weights(count, masks, factors)
+    images = np.zeros((count, count))
+    for j in range(count):
+        image = [(x[q] >> j & 1 ^ z[q] >> j & 1) + 2 * (z[q] >> j & 1) for q in range(n)]
+        images[np.ravel_multi_index(image, (4,) * n), j] = weights[j]
+    return images
+
+
 class TestPauliTransfer:
-    """The real channel tables against the complex superoperator they replaced."""
+    """The kernel's images of the Pauli strings, the Pauli transfer matrix of the adjoint channel,
+    against the complex superoperators of the dense oracle."""
 
-    @given(st.sampled_from(GATE_KINDS), probabilities)
+    @given(st.sampled_from([Gate(kind, 0) for kind in GATE_KINDS[:-1]] + [Gate("CNOT", 1, 0), Gate("CNOT", 0, 1)]),
+           probabilities)
     @settings(deadline=None, max_examples=60)
-    def test_channel_is_the_superoperator_in_the_pauli_basis(self, kind, p):
-        u = GATE_MATRICES[kind]
-        k = len(u).bit_length() - 1
+    def test_channel_is_the_superoperator_in_the_pauli_basis(self, gate, p):
+        # E^+(P) = U^+ D(P) U, the superoperator of U^+ with the same channel: column j holds E^+(P_j)
+        k = len(gate.qubits)
+        u = oracle.gate_unitary(gate, k)
         t = oracle.pauli_change_of_basis(k)
-        expected = t @ oracle.superoperator(u, p) @ t.conj().T / 2 ** k
-        new = belldisc.sampler._channels(NoiseModel(p, p), k)[(kind, *range(k))]
-        assert new.dtype == np.float64
-        assert np.abs(new - expected).max() <= 1e-15
+        expected = t @ oracle.superoperator(u.conj().T, p) @ t.conj().T / 2 ** k
+        assert np.abs(_images((gate,), k, NoiseModel(p, p)) - expected).max() <= 1e-15
 
-    @given(probabilities)
-    @settings(deadline=None, max_examples=20)
-    def test_every_lifted_channel_is_its_dense_pauli_transfer_matrix(self, p):
-        # R[:, j] = T vec(E(P_j)) / 2^w, with E the gate and the Pauli twirl on its qubits in a run of w
-        for width in (1, 2):
-            labels = ["".join(s) for s in itertools.product("IXYZ", repeat=width)]
-            t = oracle.pauli_change_of_basis(width)
-            interleaved = [a for q in range(width) for a in (q, width + q)]  # vec laid out as in superoperator
-            table = belldisc.sampler._channels(NoiseModel(p, p), width)
-            assert len(table) == 4 * width + width * (width - 1)
-            for key, new in table.items():
-                gate = _gate(key)
-                u = oracle.gate_unitary(gate, width)
-                columns = []
-                for label in labels:
-                    rho = oracle.twirl_depolarize(u @ qmath.pauli_operator(label) @ u.conj().T, gate.qubits, width, p)
-                    columns.append(t @ rho.reshape((2,) * 2 * width).transpose(interleaved).ravel() / 2 ** width)
-                assert np.abs(new - np.array(columns).T).max() <= 1e-15, key
-
-    @given(noise_models)
+    @given(circuits(max_qubits=2), noise_models)
     @settings(deadline=None, max_examples=30)
-    def test_identity_row_is_e0(self, noise):
-        for width in (1, 2):
-            for key, channel in belldisc.sampler._channels(noise, width).items():
-                assert np.array_equal(channel[0], np.eye(len(channel))[0]), key
+    def test_identity_row_is_e0(self, c, noise):
+        # only the identity maps to the identity, and it does so with weight 1
+        images = _images(c.gates, c.n_qubits, noise)
+        e0 = np.eye(4 ** c.n_qubits)[0]
+        assert np.array_equal(images[0], e0) and np.array_equal(images[:, 0], e0)
+
+    @given(circuits(max_qubits=3, max_gates=8), noise_models)
+    @settings(deadline=None, max_examples=40)
+    def test_images_of_a_circuit_are_the_dense_heisenberg_images(self, c, noise):
+        n = c.n_qubits
+        expected = []
+        for label in oracle.labels(n):
+            a = qmath.pauli_operator(label)
+            for g in reversed(c.gates):  # the adjoint of a gate and its twirl: U^+ D(A) U
+                p = noise.per_cnot_depolarizing if g.kind == "CNOT" else noise.per_gate_depolarizing
+                u = oracle.gate_unitary(g, n)
+                a = u.conj().T @ oracle.twirl_depolarize(a, g.qubits, n, p) @ u
+            expected.append(qmath.pauli_from_density(a).reshape(-1) / 2 ** n)
+        assert np.abs(_images(c.gates, n, noise) - np.array(expected).T).max() <= TOL
+
+    @given(circuits(), noise_models)
+    @settings(deadline=None, max_examples=60)
+    def test_coefficients_and_every_measured_law_against_the_dense_oracle(self, c, noise):
+        rho = oracle.final_density(c, noise)
+        coefficients = belldisc.sampler._coefficients(c, noise)
+        assert np.abs(coefficients - qmath.pauli_from_density(rho).real).max() <= TOL
+        for k in range(1, c.n_qubits + 1):
+            for measured in itertools.combinations(range(c.n_qubits), k):
+                expected = oracle.exact_distribution(c.measure(*measured), noise)
+                law = belldisc.sampler._law(c.measure(*measured), noise)
+                assert np.abs(law - list(expected.values())).max() <= TOL, measured
 
     @given(circuits(), noisy_models)
     @settings(deadline=None, max_examples=60)

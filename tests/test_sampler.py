@@ -3,7 +3,6 @@ from __future__ import annotations
 import gc
 import json
 import weakref
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from belldisc.circuit import (
     bell_prep,
     combined_check,
     discrimination_circuit,
-    parity_check,
     simulate,
 )
 from belldisc.errors import (
@@ -232,6 +230,29 @@ class TestExactDistribution:
         with pytest.raises(NoMeasurements):
             exact_distribution(Circuit(1).h(0))
 
+    @pytest.mark.parametrize("kind", list(BellKind))
+    def test_noise_free_routed_law_is_exact(self, kind):
+        # every Z-string's expectation is exactly 0 or +-1, and the outcome map takes halves
+        law = exact_distribution(PAULI_FRAME_BLOCKS["routed combined"](kind))
+        table_1 = f"{kind.phase_bit}{kind.parity_bit}"
+        assert law == {key: 1.0 if key == table_1 else 0.0 for key in ("00", "01", "10", "11")}
+
+    @given(circuits(), st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_noise_free_laws_are_exact(self, c, data):
+        # a Clifford state's outcomes are uniform on an affine subspace: each probability is 0 or 2^-j, exactly
+        c = c.measure(*data.draw(st.sets(st.integers(0, c.n_qubits - 1), min_size=1)))
+        nonzero = [p for p in exact_distribution(c).values() if p]
+        assert len(set(nonzero)) == 1 and nonzero[0] * len(nonzero) == 1.0
+        assert len(nonzero) & (len(nonzero) - 1) == 0
+
+    def test_cost_does_not_grow_with_the_register(self):
+        # a 40-qubit GHZ chain measured on its two ends asks for 2^2 Z-strings, never a 2^40 state
+        c = Circuit(40).h(0)
+        for q in range(39):
+            c = c.cnot(q, q + 1)
+        assert exact_distribution(c.measure(0, 39)) == {"00": 0.5, "01": 0.0, "10": 0.0, "11": 0.5}
+
     @given(circuits(), noise_models, st.data(), st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=60)
     def test_samples_within_total_variation_of_exact(self, c, noise, data, seed):
@@ -420,82 +441,46 @@ class TestSampleSettings:
         assert counts.shape == (81, 16)
         assert len(built) <= 1
 
-    def test_builds_channels_once(self):
-        # one table per run width, shared by the density and the setting law, however many settings
-        channels, calls = belldisc.sampler._channels, {}
+    def test_builds_the_setting_law_once(self):
+        # the model holds its setting law: later calls carry back only the circuit's observables
+        back, calls = belldisc.sampler._back, []
 
-        def counting(noise, width):
-            calls[c.n_qubits].append(width)
-            return channels(noise, width)
+        def counting(gates, *args):
+            calls.append(len(gates))
+            return back(gates, *args)
 
+        noise = NoiseModel(0.02, 0.05, 0.02)
+        c = bell_prep(BellKind.PSI_PLUS, n_qubits=4).extend(combined_check())
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(belldisc.sampler, "_channels", counting)
-            for c in (bell_prep(BellKind.PSI_PLUS).extend(parity_check()),
-                      bell_prep(BellKind.PSI_PLUS, n_qubits=4).extend(combined_check())):
-                calls[c.n_qubits] = []
-                sample_settings(c, 64, NoiseModel(0.02, 0.05, 0.02))
-        assert {n: sorted(widths) for n, widths in calls.items()} == {3: [1, 2], 4: [1, 2]}
+            mp.setattr(belldisc.sampler, "_back", counting)
+            for _ in range(3):
+                sample_settings(c, 64, noise)
+        assert sorted(calls) == sorted([1, 2, 0] + [c.gate_count] * 3)  # the X, Y and Z rotations once
 
 
 class TestTablesPerModel:
-    """A noise model builds its channel tables and setting law once, holds them, and frees them with itself."""
-
-    @staticmethod
-    def channel_calls(run) -> list[int]:
-        channels, widths = belldisc.sampler._channels, []
-
-        def counting(noise, width):
-            widths.append(width)
-            return channels(noise, width)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(belldisc.sampler, "_channels", counting)
-            run()
-        return sorted(widths)
-
-    def test_repeated_calls_build_each_width_once(self):
-        noise = NoiseModel(0.02, 0.05, 0.02)
-        c3 = bell_prep(BellKind.PHI_MINUS).extend(parity_check())
-        c4 = bell_prep(BellKind.PSI_PLUS, n_qubits=4).extend(combined_check())
-
-        def run():
-            for _ in range(3):
-                for c in (c3, c4):
-                    exact_distribution(c.measure(0, 2), noise)
-                    final_density(c, noise)
-                    sample_settings(c, 64, noise, seed=1)
-
-        assert self.channel_calls(run) == [1, 2]
-        assert self.channel_calls(run) == []  # held from the first run
-        equal = NoiseModel(0.02, 0.05, 0.02)
-        assert self.channel_calls(lambda: final_density(c3, equal)) == [1, 2]  # held per instance, not per value
+    """A noise model builds its tomography setting law once, holds it read-only, and frees it with itself."""
 
     @given(noise_models)
     @settings(deadline=None, max_examples=60)
     def test_held_tables_equal_a_fresh_build(self, noise):
-        sampler = belldisc.sampler
-        final_density(Circuit(2).h(0).cnot(0, 1), noise)
         sample_settings(Circuit(1).h(0), 16, noise)
-        fresh = {width: sampler._channels(noise, width) for width in sampler._PAULI_TRANSFER}
-        assert noise._tables.keys() == fresh.keys()
-        for width, table in fresh.items():
-            assert noise._tables[width].keys() == table.keys()
-            assert all(np.array_equal(noise._tables[width][key], m) for key, m in table.items())
-        # the setting law as sample_settings formed it on every call: F @ M
+        # F @ M, M[s] the Z outcome rows (c_I +- c_Z) / 2 times each rotation's dense Pauli transfer matrix, last first
+        t = oracle.pauli_change_of_basis(1)
+        outcomes = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0]]) / 2
         m = []
-        for gates in sampler._BASIS_CHANGE.values():
-            row = sampler._OUTCOMES
-            for kind in reversed(gates):
-                row = row @ fresh[1][kind, 0]
+        for kinds in belldisc.sampler._BASIS_CHANGE.values():
+            row = outcomes
+            for kind in reversed(kinds):
+                u = oracle.ONE_QUBIT[kind]
+                row = row @ (t @ oracle.superoperator(u, noise.per_gate_depolarizing) @ t.conj().T / 2).real
             m.append(row)
-        assert np.array_equal(noise._setting_law, sampler._readout(noise.readout_flip) @ np.array(m))
+        expected = belldisc.sampler._readout(noise.readout_flip) @ np.array(m)
+        assert np.abs(noise._setting_law - expected).max() <= 1e-15
 
     def test_held_tables_are_read_only(self):
         noise = NoiseModel(0.02, 0.05, 0.02)
-        final_density(Circuit(1).h(0), noise)
         sample_settings(Circuit(1).h(0), 16, noise)
-        with pytest.raises(ValueError, match="read-only"):
-            noise._tables[1]["H", 0][0, 0] = 2.0
         with pytest.raises(ValueError, match="read-only"):
             noise._setting_law[0, 0, 0] = 2.0
 
@@ -508,22 +493,11 @@ class TestTablesPerModel:
     def test_tables_are_freed_with_the_model(self):
         noise = NoiseModel(0.02, 0.05, 0.02)
         sample_settings(Circuit(2).h(0), 16, noise)
-        held = weakref.ref(noise._tables[2]["CNOT", 0, 1].base)
+        held = weakref.ref(noise._setting_law)
         alive = weakref.ref(noise)
         del noise
         gc.collect()
         assert alive() is None and held() is None
-
-    @given(circuits(), noise_models)
-    @settings(deadline=None, max_examples=150)
-    def test_pure_is_the_gate_scan(self, c, noise):
-        sampler = belldisc.sampler
-        assert sampler._pure(c, noise) == (not any(sampler._depolarizing(noise, g.kind) for g in c.gates))
-
-    def test_noise_free_pure_reads_no_gate(self):
-        no_gates = SimpleNamespace()  # reading its gates raises AttributeError
-        for noise in (IDEAL, NoiseModel(readout_flip=0.3)):
-            assert belldisc.sampler._pure(no_gates, noise)
 
 
 class TestRelabelling:
@@ -581,8 +555,8 @@ class TestDepolarizing:
         and exactly 0 elsewhere; each channel only scales a non-identity coefficient by 1 - p.
         """
         sampler = belldisc.sampler
-        ideal = sampler._coefficients(c, IDEAL._tables)
-        noisy = sampler._coefficients(c, NoiseModel(per_gate, per_cnot)._tables)
+        ideal = sampler._coefficients(c, IDEAL)
+        noisy = sampler._coefficients(c, NoiseModel(per_gate, per_cnot))
         support = ideal != 0.0
         assert np.array_equal(noisy != 0.0, support)
         assert support.sum() == 2 ** c.n_qubits
